@@ -316,7 +316,7 @@ fn bench_advisor(c: &mut Criterion) {
 
 fn bench_store_concurrency(c: &mut Criterion) {
     use cadb_engine::{BulkInsert, CostModel, Statement, Workload};
-    use cadb_exec::{MaterializedConfig, Store};
+    use cadb_exec::{MaterializedConfig, ShardedStore, Store};
 
     let gen = cadb_datagen::TpchGen::new(0.02);
     let db = gen.build().unwrap();
@@ -344,77 +344,60 @@ fn bench_store_concurrency(c: &mut Criterion) {
                 1.0,
             );
         }
-        for pages in [false, true] {
-            let label = if pages { "page_cache" } else { "row_view" };
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{readers}x{writers}")),
-                &writes,
-                |b, writes| {
-                    b.iter(|| {
-                        let store = Store::open(&db, &mat, CostModel::default());
-                        store.warm_for_table(t).unwrap();
-                        std::thread::scope(|s| {
-                            for _ in 0..readers {
-                                s.spawn(|| {
-                                    for _ in 0..8 {
-                                        let snap = store.snapshot();
-                                        if pages {
-                                            black_box(snap.pages(t).unwrap().n_rows());
-                                        } else {
-                                            black_box(snap.n_rows(t).unwrap());
-                                        }
-                                    }
-                                });
-                            }
-                            store
-                                .apply_workload(
-                                    black_box(writes),
-                                    7,
-                                    Parallelism::Threads(writers.max(1)),
-                                )
-                                .unwrap()
-                        })
-                    })
-                },
-            );
-        }
-        // The same contention cell through the sharded serving layer:
-        // per-shard WAL streams under the global commit order. Identical
-        // committed state by the equivalence contract; this measures what
+        // Four reader/log-layout cells per contention level: the gen-1
+        // row view and the gen-2 page cache over the single WAL, then the
+        // row view again over hash-sharded logs — identical committed
+        // state by the layout contract, so the sharded cells measure what
         // the order record + fan-out cost under read pressure.
-        for shards in [1usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new("sharded", format!("{readers}x{writers}x{shards}")),
-                &writes,
-                |b, writes| {
-                    b.iter(|| {
-                        let store = cadb_exec::ShardedStore::open(
+        let cells = [
+            ("row_view", false, None),
+            ("page_cache", true, None),
+            ("sharded", false, Some(1usize)),
+            ("sharded", false, Some(4)),
+        ];
+        for (label, pages, shards) in cells {
+            let param = match shards {
+                None => format!("{readers}x{writers}"),
+                Some(n) => format!("{readers}x{writers}x{n}"),
+            };
+            let id = BenchmarkId::new(label, param);
+            group.bench_with_input(id, &writes, |b, writes| {
+                b.iter(|| {
+                    let store: Store<'_> = match shards {
+                        None => Store::open(&db, &mat, CostModel::default()),
+                        Some(n) => ShardedStore::open(
                             &db,
                             &mat,
                             CostModel::default(),
-                            cadb_shard::ShardSpec::hash(shards),
+                            cadb_shard::ShardSpec::hash(n),
                         )
-                        .unwrap();
-                        store.warm_for_table(t).unwrap();
-                        std::thread::scope(|s| {
-                            for _ in 0..readers {
-                                s.spawn(|| {
-                                    for _ in 0..8 {
-                                        black_box(store.snapshot().n_rows(t).unwrap());
+                        .unwrap()
+                        .into(),
+                    };
+                    store.warm_for_table(t).unwrap();
+                    std::thread::scope(|s| {
+                        for _ in 0..readers {
+                            s.spawn(|| {
+                                for _ in 0..8 {
+                                    let snap = store.snapshot();
+                                    if pages {
+                                        black_box(snap.pages(t).unwrap().n_rows());
+                                    } else {
+                                        black_box(snap.n_rows(t).unwrap());
                                     }
-                                });
-                            }
-                            store
-                                .apply_workload(
-                                    black_box(writes),
-                                    7,
-                                    Parallelism::Threads(writers.max(1)),
-                                )
-                                .unwrap()
-                        })
+                                }
+                            });
+                        }
+                        store
+                            .apply_workload(
+                                black_box(writes),
+                                7,
+                                Parallelism::Threads(writers.max(1)),
+                            )
+                            .unwrap()
                     })
-                },
-            );
+                })
+            });
         }
     }
     group.finish();

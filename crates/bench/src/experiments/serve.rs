@@ -269,71 +269,57 @@ pub fn sharded_serve_curve(
 ) -> Vec<ShardedServePoint> {
     let w = write_burst(db);
     let mat = MaterializedConfig::build(db, cfg).expect("materialize config");
+    let model = CostModel::default;
+    // The monolithic baseline first, then the same burst, same batch size,
+    // over each sharded layout.
+    let layouts =
+        std::iter::once(None).chain(shard_counts.iter().map(|&n| Some(ShardSpec::hash(n))));
     let mut out = Vec::new();
-    // Monolithic baseline: same burst, same batch size, one WAL.
-    {
+    for layout in layouts {
         let rec = Arc::new(TraceRecorder::new());
-        let store = Store::open(db, &mat, CostModel::default());
+        let store: Store<'_> = match layout {
+            None => Store::open(db, &mat, model()),
+            Some(spec) => ShardedStore::open(db, &mat, model(), spec)
+                .expect("open sharded store")
+                .into(),
+        };
         let guard = obs::install(rec.clone());
         let t0 = Instant::now();
-        store
+        let actuals = store
             .apply_workload_batched(&w, SERVE_SEED, Parallelism::Auto, SHARDED_SERVE_BATCH)
             .expect("serve burst");
         let wall = t0.elapsed();
         drop(guard);
-        let report = rec.report();
-        let wal = store.wal_bytes();
-        let digest = store.state_digest().expect("state digest");
-        let (recovered, rep) =
-            Store::recover(db, &mat, CostModel::default(), &wal).expect("recovery");
-        out.push(ShardedServePoint {
-            shards: 0,
-            commits: report.counter("store.commits").unwrap_or(0),
-            wall_ms: wall.as_secs_f64() * 1e3,
-            commits_per_sec: report.counter("store.commits").unwrap_or(0) as f64
-                / wall.as_secs_f64().max(1e-9),
-            latency: rec
-                .histogram("store.group_commit_ns")
-                .expect("group-commit latency recorded"),
-            wal_bytes: wal.len(),
-            state_digest: digest,
-            recovery_verified: recovered.state_digest().expect("recovered digest") == digest
-                && rep.truncated_bytes == 0
-                && rep.duplicates_skipped == 0,
-        });
-    }
-    for &n in shard_counts {
-        let spec = ShardSpec::hash(n);
-        let rec = Arc::new(TraceRecorder::new());
-        let store =
-            ShardedStore::open(db, &mat, CostModel::default(), spec).expect("open sharded store");
-        let guard = obs::install(rec.clone());
-        let t0 = Instant::now();
-        store
-            .apply_workload_batched(&w, SERVE_SEED, Parallelism::Auto, SHARDED_SERVE_BATCH)
-            .expect("serve burst sharded");
-        let wall = t0.elapsed();
-        drop(guard);
-        let report = rec.report();
-        let order = store.order_bytes();
+        // Counted from the actuals, not the `store.commits` counter: the
+        // recorder is process-wide and would also count commits made by
+        // whatever else runs while it is installed.
+        let commits = actuals.len() as u64;
+        let head = store.wal_bytes();
         let shard_logs = store.all_shard_wal_bytes();
         let digest = store.state_digest().expect("state digest");
-        let (recovered, rep) =
-            ShardedStore::recover(db, &mat, CostModel::default(), spec, &order, &shard_logs)
-                .expect("sharded recovery");
+        let (recovered, clean): (Store<'_>, bool) = match layout {
+            None => {
+                let (s, rep) = Store::recover(db, &mat, model(), &head).expect("recovery");
+                (s, rep.truncated_bytes == 0 && rep.duplicates_skipped == 0)
+            }
+            Some(spec) => {
+                let (s, rep) = ShardedStore::recover(db, &mat, model(), spec, &head, &shard_logs)
+                    .expect("sharded recovery");
+                (s.into(), rep.commits_discarded == 0)
+            }
+        };
         out.push(ShardedServePoint {
-            shards: n,
-            commits: report.counter("store.commits").unwrap_or(0),
+            shards: layout.map_or(0, |spec| spec.shards),
+            commits,
             wall_ms: wall.as_secs_f64() * 1e3,
-            commits_per_sec: report.counter("store.commits").unwrap_or(0) as f64
-                / wall.as_secs_f64().max(1e-9),
+            commits_per_sec: commits as f64 / wall.as_secs_f64().max(1e-9),
             latency: rec
                 .histogram("store.group_commit_ns")
                 .expect("group-commit latency recorded"),
-            wal_bytes: order.len() + shard_logs.iter().map(Vec::len).sum::<usize>(),
+            wal_bytes: head.len() + shard_logs.iter().map(Vec::len).sum::<usize>(),
             state_digest: digest,
             recovery_verified: recovered.state_digest().expect("recovered digest") == digest
-                && rep.commits_discarded == 0,
+                && clean,
         });
     }
     let d0 = out[0].state_digest;

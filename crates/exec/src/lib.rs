@@ -63,13 +63,13 @@
 //! bit for bit; `tests/store_recovery.rs` tears the log at every sync
 //! point to prove it.
 //!
-//! [`store::sharded::ShardedStore`] serves the same write path in
-//! **sharded mode**: per-shard WAL segments routed by the build path's
-//! [`cadb_shard::Partitioning`] policies, stitched into one total order
-//! by a commit-order log — with snapshots, digests and per-statement
-//! actuals bit-identical to the monolithic store for every shard count,
-//! parallelism mode and batch size
-//! (`tests/sharded_store_equivalence.rs`).
+//! The log's *layout* is a parameter of that one commit protocol:
+//! [`ShardedStore`] opens the same [`Store`] over per-shard WAL segments
+//! routed by the build path's [`cadb_shard::Partitioning`] policies and
+//! stitched into one total order by a commit-order log — with snapshots,
+//! digests and per-statement actuals bit-identical to the single WAL for
+//! every shard count, parallelism mode and batch size (the same
+//! `tests/store_recovery.rs` suite runs over every layout).
 
 #![warn(missing_docs)]
 
@@ -90,11 +90,8 @@ pub use scan::{
     scan_aggregate, scan_aggregate_range, scan_filter, scan_filter_range, BoundPredicate, ExecMode,
     ExecStats,
 };
-pub use store::sharded::{
-    ShardStats, ShardedCheckpoint, ShardedRecoveryReport, ShardedStore, MAX_SERVE_SHARDS,
-};
 pub use store::{
-    CommitReceipt, PageCacheStats, RecoveryReport, Snapshot, Store, StoreCheckpoint, StoreTotals,
-    WriteActual, WriteKind,
+    CommitReceipt, PageCacheStats, RecoveryReport, ShardStats, ShardedRecoveryReport, ShardedStore,
+    Snapshot, Store, StoreCheckpoint, StoreTotals, WriteActual, WriteKind, MAX_SERVE_SHARDS,
 };
 pub use vector::{ColumnVector, IntAggregate, VectorData};

@@ -10,16 +10,35 @@
 //! watermark and reads a consistent state without blocking writers) and
 //! per-MV aggregate overlays over the built MV structures. DELETEs are
 //! end-of-chain tombstones: the live version's interval is closed with no
-//! successor, so older snapshots keep seeing the row. The write path is
-//! *single-log / multi-writer*: any number of writers prepare concurrently
-//! (resolve statements into [`effects::CommitEffects`], probe dimensions,
-//! price maintenance — all outside any lock), then commits serialize only
-//! on the short critical section that assigns the LSN, appends the frame
-//! to the shared [`cadb_storage::wal::WalSegment`] and applies the
-//! effects. [`Store::commit_batch`] is the **group-commit** form of that
-//! section: a batch of prepared effects gets consecutive LSNs and one
-//! coalesced multi-frame append with a *single* sync point — batching
-//! changes durability granularity only, never the logged bytes.
+//! successor, so older snapshots keep seeing the row.
+//!
+//! ## The commit protocol
+//!
+//! There is one, and every commit — live or replayed by recovery — walks
+//! it:
+//!
+//! 1. **Prepare → price → stage, outside any lock.** Any number of
+//!    writers resolve statements into [`effects::CommitEffects`], probe
+//!    dimensions, price maintenance against the *whole* statement
+//!    ([`maintain::maintain`], a pure function of effects + immutable
+//!    bases) and encode the bytes the log will hold.
+//! 2. **Assign LSNs → append → apply, in one short critical section**
+//!    under the store's single state lock. The batch gets consecutive
+//!    LSNs, the log appends it with **one sync point per stream** — the
+//!    commit-point stream last — and the effects are applied in order.
+//!    [`Store::commit_batch`] is the group-commit form: batching changes
+//!    durability granularity only, never the logged bytes.
+//!
+//! The **log layout** is data, not a second protocol. A store opened with
+//! [`Store::open`] logs to one WAL; one opened with
+//! [`ShardedStore::open`] places the same commits on `N` per-shard WALs
+//! (routed by a [`cadb_shard::ShardSpec`]) plus an order log whose record
+//! is the commit point. Snapshots, state digests, per-statement
+//! [`WriteActual`]s, checkpoint artifacts and post-recovery state are
+//! **bit-identical** across layouts — `tests/store_recovery.rs` runs one
+//! suite over both, through fault injection at every sync point of every
+//! stream. In this process all streams are `Vec<u8>`s, so the sharded
+//! layout buys no parallelism; it costs `shards + 1` appends per batch.
 //!
 //! ## Snapshot page cache
 //!
@@ -45,25 +64,33 @@
 //! * [`Store::state_digest`] hashes the visible row *multiset* (plus MV
 //!   overlays), so equal states digest equally however writers
 //!   interleaved.
-//! * Crash recovery ([`Store::recover`]) replays the WAL in LSN order;
-//!   the replayed prefix reproduces the original committed state — and its
-//!   measured totals — bit for bit (torn tails are truncated, duplicate
-//!   frames skipped, see [`cadb_storage::wal::replay`]).
+//! * Crash recovery ([`Store::recover`], [`ShardedStore::recover`])
+//!   replays the commit-point stream in LSN order through the same
+//!   stage → append → apply steps; the replayed prefix reproduces the
+//!   original committed state, its measured totals **and its log bytes**
+//!   bit for bit (torn tails are truncated, duplicate frames skipped, see
+//!   [`cadb_storage::wal::replay`]; a commit whose shard frame was torn
+//!   away ends the prefix).
 //!
 //! ## Checkpoint-anchored truncation
 //!
 //! A [`Store::checkpoint`] folds the committed deltas back into real
 //! compressed structures (pure-append tables through O(delta) page
 //! *patches* via [`cadb_storage::PhysicalIndex::append_rows`], updated or
-//! deleted-from tables through a leaf rebuild), then **truncates the WAL**
-//! to the checkpoint marker: the artifact plus the post-checkpoint tail is
-//! the whole persistent state. [`Store::recover_with_checkpoint`] restarts
-//! from the artifact and replays only the tail frames.
+//! deleted-from tables through a leaf rebuild), then **truncates every
+//! log stream** to its checkpoint marker: the artifact plus the
+//! post-checkpoint tails is the whole persistent state.
+//! [`Store::recover_with_checkpoint`] restarts from the artifact and
+//! replays only the tail frames.
 
 pub mod delta;
 pub mod effects;
+mod log;
 pub mod maintain;
-pub mod sharded;
+mod sharded;
+
+pub use log::{ShardStats, ShardedRecoveryReport, MAX_SERVE_SHARDS};
+pub use sharded::ShardedStore;
 
 use crate::measured::MaterializedConfig;
 use cadb_common::rng::rng_for;
@@ -72,11 +99,13 @@ use cadb_compression::CompressionKind;
 use cadb_engine::{
     BulkDelete, BulkInsert, BulkUpdate, CostModel, Database, IndexSpec, MvSpec, Statement, Workload,
 };
-use cadb_storage::wal::{self, FrameType, WalFrame, WalSegment, FRAME_HEADER_BYTES};
+use cadb_shard::{ShardRouter, ShardSpec};
+use cadb_storage::wal::{self, FrameType, FRAME_HEADER_BYTES};
 use cadb_storage::PhysicalIndex;
 use delta::TableDelta;
 use effects::{CommitEffects, RowRewrite, RowSlot, RowTombstone};
-use maintain::{fnv1a, maintain, rows_digest, MaintenanceCounters, MvGroupDelta};
+use log::{CommitLog, LogReader, Staged};
+use maintain::{fnv1a, maintain, rows_digest, MaintenanceCounters, MaintenanceRun, MvGroupDelta};
 use parking_lot::RwLock;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
@@ -189,8 +218,8 @@ impl PageCacheStats {
 }
 
 impl RecoveryReport {
-    /// View as named observability metrics (also published by
-    /// [`Store::recover`] / [`Store::recover_with_checkpoint`]).
+    /// View as named observability metrics (also published by every
+    /// recovery).
     pub fn as_metrics(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("store.recovery.frames_applied", self.frames_applied as u64),
@@ -234,8 +263,12 @@ pub struct StoreCheckpoint {
     /// WAL bytes the checkpoint truncated from the head of the log
     /// (everything before the checkpoint marker). Distinct from
     /// [`RecoveryReport::truncated_bytes`], which counts *unusable tail*
-    /// bytes a crash tore.
+    /// bytes a crash tore. Summed over every stream of the log layout.
     pub truncated_wal_bytes: usize,
+    /// Shard-local LSN counter after each shard stream's checkpoint
+    /// marker, in shard order — what the truncated shard logs resume from.
+    /// Empty under the single-log layout.
+    pub shard_next_lsns: Vec<u64>,
 }
 
 impl StoreCheckpoint {
@@ -257,7 +290,9 @@ impl StoreCheckpoint {
 
 #[derive(Debug, Default)]
 struct StoreState {
-    wal: WalSegment,
+    /// The commit log, under the store's one lock: LSN assignment, append
+    /// and apply are a single critical section for every layout.
+    log: CommitLog,
     next_lsn: u64,
     watermark: u64,
     deltas: BTreeMap<TableId, TableDelta>,
@@ -290,6 +325,10 @@ pub struct Store<'a> {
     mat: &'a MaterializedConfig,
     specs: Vec<IndexSpec>,
     model: CostModel,
+    /// The log layout — `None` for the single WAL, the shard spec for
+    /// shard WALs + order log. Copied out of the log at open so staging
+    /// reads it without the lock.
+    layout: Option<ShardSpec>,
     /// The physical base structure reads go through, per table: the
     /// materialized config's, unless recovery installed a checkpoint
     /// artifact for the table. Cached as `Arc`s so page images and row
@@ -309,18 +348,30 @@ pub struct Store<'a> {
 type DimMapCache = HashMap<(TableId, ColumnId), Arc<HashMap<Value, u32>>>;
 
 impl<'a> Store<'a> {
-    /// Open a store over a materialized configuration.
+    /// Open a store over a materialized configuration, logging to a
+    /// single WAL. [`ShardedStore::open`] opens the sharded log layout.
     pub fn open(db: &'a Database, mat: &'a MaterializedConfig, model: CostModel) -> Store<'a> {
+        Self::with_log(db, mat, model, CommitLog::default())
+    }
+
+    fn with_log(
+        db: &'a Database,
+        mat: &'a MaterializedConfig,
+        model: CostModel,
+        log: CommitLog,
+    ) -> Store<'a> {
         Store {
             db,
             mat,
             specs: mat.structures().iter().map(|s| s.spec.clone()).collect(),
             model,
+            layout: log.spec(),
             base_ix: RwLock::new(HashMap::new()),
             base_rows: RwLock::new(HashMap::new()),
             dim_maps: RwLock::new(HashMap::new()),
             page_cache: RwLock::new(PageCache::default()),
             state: RwLock::new(StoreState {
+                log,
                 next_lsn: 1,
                 ..StoreState::default()
             }),
@@ -532,24 +583,58 @@ impl<'a> Store<'a> {
         })
     }
 
-    /// Commit resolved effects: price the maintenance (outside any lock),
-    /// then — in the single serialized critical section — assign the LSN,
-    /// append the WAL frame and apply the effects. Equivalent to a
-    /// [`Self::commit_batch`] of one.
+    /// Commit resolved effects — a [`Self::commit_batch`] of one.
     pub fn commit(&self, eff: CommitEffects) -> Result<CommitReceipt> {
-        let mut receipts = self.commit_batch(std::slice::from_ref(&eff))?;
-        Ok(receipts.pop().expect("one effect yields one receipt"))
+        self.commit_batch(std::slice::from_ref(&eff))?
+            .pop()
+            .ok_or_else(|| CadbError::Storage("commit produced no receipt".to_string()))
     }
 
-    /// **Group commit**: price every effect outside any lock, then — in
-    /// one critical section — assign consecutive LSNs, append all frames
-    /// as a single coalesced durable write (one sync point for the whole
-    /// batch, [`WalSegment::append_batch`]) and apply them in order.
+    /// Stage one commit outside any lock: warm the caches it probes, price
+    /// its maintenance (a pure function of effects + immutable bases) and
+    /// encode its log bytes for the store's layout. Live commits and
+    /// recovery's re-logging both go through here, so a recovered log set
+    /// is byte-equal to the committed prefix that produced it.
+    ///
+    /// Maintenance is priced at the *whole-statement* frame length under
+    /// every layout — costs are nonlinear in frame size, so per-shard sums
+    /// would drift — which is what makes receipts layout-independent.
+    fn stage(&self, eff: &CommitEffects) -> Result<(usize, MaintenanceRun, Staged)> {
+        self.warm_for_table(eff.table)?;
+        let base_n = self.base_rows(eff.table)?.len();
+        let payload = eff.encode();
+        let run = maintain(
+            eff,
+            &self.specs,
+            &self.model,
+            self.base_kind(eff.table),
+            (payload.len() + FRAME_HEADER_BYTES) as u64,
+            &|mv, row, col| self.resolve_col(mv, row, col, 0),
+        );
+        let staged = match self.layout {
+            None => Staged::Whole(payload),
+            Some(spec) => {
+                let n_key = self
+                    .mat
+                    .base_spec(eff.table)
+                    .map_or(0, |s| s.key_cols.len().min(self.db.dtypes(eff.table).len()));
+                log::split(eff, &ShardRouter::new(spec, n_key, base_n))
+            }
+        };
+        Ok((base_n, run, staged))
+    }
+
+    /// **Group commit**: stage every effect outside any lock
+    /// (prepare → price → encode), then — in one critical section — assign
+    /// consecutive LSNs, append the batch with one sync point per log
+    /// stream (the commit-point stream last) and apply the effects in
+    /// order.
     ///
     /// The logged bytes are identical to committing the effects one by
     /// one; only the sync-point granularity — where a crash can land —
-    /// changes. That is the group-commit equivalence the recovery tests
-    /// pin across batch sizes.
+    /// changes. Receipts (LSNs, counters, measured costs) are identical
+    /// under every log layout. Those are the equivalences the recovery
+    /// tests pin across batch sizes and layouts.
     pub fn commit_batch(&self, effs: &[CommitEffects]) -> Result<Vec<CommitReceipt>> {
         if effs.is_empty() {
             return Ok(Vec::new());
@@ -559,44 +644,24 @@ impl<'a> Store<'a> {
         // histograms — never the commit work itself.
         let t_batch = obs::recording().then(Instant::now);
         let prepare_span = obs::span("store.commit.prepare");
-        // Phase 1, outside any lock: warm caches, encode payloads, price
-        // maintenance (a pure function of effects + immutable bases).
         let mut base_ns = Vec::with_capacity(effs.len());
-        let mut payloads = Vec::with_capacity(effs.len());
         let mut runs = Vec::with_capacity(effs.len());
+        let mut staged = Vec::with_capacity(effs.len());
         for eff in effs {
-            self.warm_for_table(eff.table)?;
-            base_ns.push(self.base_rows(eff.table)?.len());
-            let payload = eff.encode();
-            let wal_bytes = (payload.len() + FRAME_HEADER_BYTES) as u64;
-            runs.push(maintain(
-                eff,
-                &self.specs,
-                &self.model,
-                self.base_kind(eff.table),
-                wal_bytes,
-                &|mv, row, col| self.resolve_col(mv, row, col, 0),
-            ));
-            payloads.push(payload);
+            let (base_n, run, frames) = self.stage(eff)?;
+            base_ns.push(base_n);
+            runs.push(run);
+            staged.push(frames);
         }
         drop(prepare_span);
-        // Phase 2, the critical section: consecutive LSNs, one coalesced
-        // append, in-order apply.
+        // The critical section: consecutive LSNs, one coalesced append per
+        // stream, in-order apply.
         let mut st = self.state.write();
         let first = st.next_lsn;
         st.next_lsn += effs.len() as u64;
-        let frames: Vec<WalFrame> = payloads
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| WalFrame {
-                frame_type: FrameType::Commit,
-                lsn: first + i as u64,
-                payload,
-            })
-            .collect();
         let append_span = obs::span("store.commit.append");
         let t_append = obs::recording().then(Instant::now);
-        st.wal.append_batch(&frames);
+        st.log.append(first, staged)?;
         if let Some(t0) = t_append {
             obs::observe("store.wal_append_ns", t0.elapsed().as_nanos() as u64);
         }
@@ -617,7 +682,6 @@ impl<'a> Store<'a> {
         drop(apply_span);
         obs::counter_add("store.commits", effs.len() as u64);
         obs::counter_add("store.commit_batches", 1);
-        obs::gauge_set("store.wal_bytes", st.wal.bytes().len() as f64);
         if let Some(t0) = t_batch {
             let ns = t0.elapsed().as_nanos() as u64;
             obs::observe("store.group_commit_ns", ns);
@@ -686,7 +750,7 @@ impl<'a> Store<'a> {
     }
 
     /// Fold a maintenance run's counters and MV group deltas into state.
-    fn absorb(st: &mut StoreState, run: &maintain::MaintenanceRun, lsn: u64) {
+    fn absorb(st: &mut StoreState, run: &MaintenanceRun, lsn: u64) {
         for (pos, groups) in &run.mv_deltas {
             let overlay = st.overlays.entry(*pos).or_default();
             for (key, d) in groups {
@@ -724,13 +788,14 @@ impl<'a> Store<'a> {
     /// write in parallel under `par` (preparation is a pure function of
     /// `(statement, seed)` and the immutable bases), then commit them **in
     /// statement order** in durable batches of `batch` — each batch one
-    /// coalesced WAL append with a single sync point.
+    /// coalesced append with a single sync point per log stream.
     ///
     /// LSNs equal statement positions regardless of `par` and `batch`, so
     /// the logged bytes ([`Self::wal_frame_digest`]), the recovered state
     /// and every per-statement actual are bit-identical across batch sizes
     /// and parallelism modes; batching only coarsens the durability
-    /// boundaries a crash can land between.
+    /// boundaries a crash can land between. The actuals are also identical
+    /// across log layouts.
     pub fn apply_workload_batched(
         &self,
         w: &Workload,
@@ -765,29 +830,22 @@ impl<'a> Store<'a> {
     /// preparing in parallel under `par`. Preparation is a pure function
     /// of `(statement, seed)` and the immutable bases, so the prepared
     /// effects — and everything committed from them — are identical for
-    /// every parallelism mode. Shared by the monolithic and the sharded
-    /// ([`sharded::ShardedStore`]) workload drivers.
-    pub(crate) fn prepare_writes(
+    /// every parallelism mode.
+    fn prepare_writes(
         &self,
         w: &Workload,
         seed: u64,
         par: Parallelism,
     ) -> Result<Vec<PreparedWrite>> {
-        let writes: Vec<(usize, &Statement)> = w
+        let statements: Vec<(usize, &Statement)> = w
             .statements
             .iter()
             .enumerate()
-            .filter(|(_, (s, _))| {
-                matches!(
-                    s,
-                    Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)
-                )
-            })
             .map(|(i, (s, _))| (i, s))
             .collect();
-        cadb_common::par_map(par, &writes, |_, &(idx, stmt)| {
+        cadb_common::par_map(par, &statements, |_, &(idx, stmt)| {
             let label = format!("write-{idx}");
-            Ok(match stmt {
+            Ok(Some(match stmt {
                 Statement::Insert(ins) => (
                     idx,
                     WriteKind::Insert,
@@ -809,11 +867,12 @@ impl<'a> Store<'a> {
                     del.n_rows,
                     self.prepare_delete(del, seed, &label)?,
                 ),
-                Statement::Select(_) => unreachable!("filtered to writes"),
-            })
+                Statement::Select(_) => return Ok(None),
+            }))
         })
         .into_iter()
-        .collect::<Result<Vec<_>>>()
+        .filter_map(Result::transpose)
+        .collect()
     }
 
     // ------------------------------------------------------------------
@@ -849,21 +908,33 @@ impl<'a> Store<'a> {
             .unwrap_or_default()
     }
 
-    /// The WAL segment bytes (what would be on disk at the last sync).
+    /// The bytes of the commit-point stream (what would be on disk at the
+    /// last sync): the WAL, or the order log under the sharded layout.
     pub fn wal_bytes(&self) -> Vec<u8> {
-        self.state.read().wal.bytes().to_vec()
+        self.state.read().log.head().bytes().to_vec()
     }
 
-    /// The WAL's sync points — byte offsets a crash can land between.
+    /// The commit-point stream's sync points — byte offsets a crash can
+    /// land between.
     pub fn wal_sync_points(&self) -> Vec<usize> {
-        self.state.read().wal.sync_points().to_vec()
+        self.state.read().log.head().sync_points().to_vec()
     }
 
-    /// FNV-1a digest over the raw WAL bytes — frame headers, LSNs and
-    /// payloads included. The group-commit equivalence tests' witness that
-    /// batching changes durability granularity only, never the log.
+    /// Every shard stream's WAL segment bytes, in shard order; empty under
+    /// the single-log layout.
+    pub fn all_shard_wal_bytes(&self) -> Vec<Vec<u8>> {
+        let st = self.state.read();
+        let shards = st.log.shards().iter();
+        shards.map(|s| s.wal.bytes().to_vec()).collect()
+    }
+
+    /// FNV-1a digest over the raw bytes of the whole log set — frame
+    /// headers, LSNs and payloads of the commit-point stream, then of
+    /// every shard stream with its index. The group-commit equivalence
+    /// tests' witness that batch size and parallelism mode change
+    /// durability granularity only, never a single logged byte.
     pub fn wal_frame_digest(&self) -> u64 {
-        fnv1a(0xcbf2_9ce4_8422_2325, self.state.read().wal.bytes())
+        self.state.read().log.digest()
     }
 
     /// Snapshot page-cache counters.
@@ -939,25 +1010,29 @@ impl<'a> Store<'a> {
         Ok(ix)
     }
 
-    /// Snapshot-atomicity check: re-derive, from the WAL alone, how many
+    /// Snapshot-atomicity check: re-derive, from the log alone, how many
     /// appended rows each table must show at LSN `lsn` (appends minus
     /// appended-slot tombstones, on top of the truncation anchor's
     /// baseline), and compare with what the version chains make visible.
-    /// Readers in the concurrency tests call this against live writers.
-    /// LSNs before the truncation anchor are vacuously consistent — the
-    /// log that could answer for them was folded into a checkpoint.
+    /// Readers in the concurrency tests call this against live writers: a
+    /// reader must never observe a partially applied batch, whichever
+    /// streams its frames landed on. LSNs before the truncation anchor are
+    /// vacuously consistent — the log that could answer for them was
+    /// folded into a checkpoint.
     pub fn snapshot_consistent(&self, lsn: u64) -> Result<bool> {
         let st = self.state.read();
         if lsn < st.log_anchor {
             return Ok(true);
         }
-        let rep = wal::replay(st.wal.bytes());
+        let mut reader = st.log.reader()?;
         let mut expected: BTreeMap<TableId, i64> = st.anchor_appends.clone();
-        for f in &rep.frames {
+        for f in &wal::replay(st.log.head().bytes()).frames {
             if f.frame_type != FrameType::Commit || f.lsn > lsn || f.lsn <= st.log_anchor {
                 continue;
             }
-            let eff = CommitEffects::decode(&f.payload)?;
+            let Some(eff) = reader.effects(f)? else {
+                continue;
+            };
             let e = expected.entry(eff.table).or_default();
             *e += eff.appended.len() as i64;
             for ts in &eff.deleted {
@@ -1050,10 +1125,12 @@ impl<'a> Store<'a> {
     }
 
     /// Fold the committed deltas into real compressed structures, log a
-    /// checkpoint marker, and **truncate the WAL** to the marker: the
-    /// returned artifact plus the post-checkpoint tail is the entire
-    /// persistent state, and [`Store::recover_with_checkpoint`] restarts
-    /// from exactly that pair. Append-only tables are folded by patching
+    /// checkpoint marker in **every stream** of the log layout, and
+    /// truncate each to its marker: the returned artifact plus the
+    /// post-checkpoint tails is the entire persistent state, and
+    /// checkpoint-anchored recovery restarts from exactly that pair. The
+    /// artifact's folded bytes (and [`StoreCheckpoint::digest`]) do not
+    /// depend on the layout. Append-only tables are folded by patching
     /// leaf pages in place (O(delta)); tables with updated or deleted rows
     /// get a full leaf rebuild.
     ///
@@ -1088,38 +1165,11 @@ impl<'a> Store<'a> {
         }
         let marker_lsn = st.next_lsn;
         st.next_lsn += 1;
-        // Truncate everything before the marker: the artifact carries the
-        // pre-checkpoint history now, so only the marker + later frames
+        // Truncate everything before the markers: the artifact carries the
+        // pre-checkpoint history now, so only the markers + later frames
         // need to survive.
-        let head = st.wal.bytes().len();
-        st.wal.append(&WalFrame {
-            frame_type: FrameType::Checkpoint,
-            lsn: marker_lsn,
-            payload: lsn.to_le_bytes().to_vec(),
-        });
-        let truncated_wal_bytes = st.wal.truncate_head(head);
-        // Epoch switch: install the folded structures as the live base
-        // and reset the per-epoch state.
-        {
-            let mut base_ix = self.base_ix.write();
-            for (t, ix) in &tables {
-                base_ix.insert(*t, Arc::new(ix.clone()));
-            }
-        }
-        {
-            let mut rows = self.base_rows.write();
-            for t in tables.keys() {
-                rows.remove(t);
-            }
-        }
-        self.dim_maps.write().clear();
-        self.page_cache.write().entries.clear();
-        for (t, ix) in &tables {
-            st.deltas.insert(*t, TableDelta::new(ix.n_rows()));
-        }
-        st.mod_lsns.clear();
-        st.log_anchor = lsn;
-        st.anchor_appends = BTreeMap::new();
+        let (truncated_wal_bytes, shard_next_lsns) = st.log.truncate_at_marker(marker_lsn, lsn);
+        self.start_epoch(&mut st, &tables, lsn);
         obs::counter_add("store.checkpoints", 1);
         obs::counter_add("store.checkpoint.patched_tables", patched_tables as u64);
         obs::counter_add("store.checkpoint.rebuilt_tables", rebuilt_tables as u64);
@@ -1136,32 +1186,47 @@ impl<'a> Store<'a> {
             patched_tables,
             rebuilt_tables,
             truncated_wal_bytes,
+            shard_next_lsns,
         })
     }
 
-    /// Re-apply one logged commit during recovery. Counters and costs are
-    /// recomputed from the logged effects — the same pure function the
-    /// original commit priced — so recovered totals equal the originals.
+    /// The epoch switch at watermark `lsn`: install the folded `tables` as
+    /// the live base under fresh (empty) deltas — so the state digest
+    /// covers every folded table — and invalidate everything derived from
+    /// the old bases. Run by a checkpoint on the live store and by
+    /// recovery when it restarts from the checkpoint's artifact.
+    fn start_epoch(
+        &self,
+        st: &mut StoreState,
+        tables: &BTreeMap<TableId, PhysicalIndex>,
+        lsn: u64,
+    ) {
+        {
+            let mut base_ix = self.base_ix.write();
+            let mut rows = self.base_rows.write();
+            for (t, ix) in tables {
+                base_ix.insert(*t, Arc::new(ix.clone()));
+                rows.remove(t);
+                st.deltas.insert(*t, TableDelta::new(ix.n_rows()));
+            }
+        }
+        self.dim_maps.write().clear();
+        self.page_cache.write().entries.clear();
+        st.mod_lsns.clear();
+        st.log_anchor = lsn;
+        st.anchor_appends = BTreeMap::new();
+    }
+
+    /// Re-apply one logged commit during recovery, re-logging it through
+    /// the same stage → append → apply steps as a live commit. Counters
+    /// and costs are recomputed from the logged effects — the same pure
+    /// function the original commit priced — so recovered totals equal the
+    /// originals.
     fn replay_commit(&self, eff: &CommitEffects, lsn: u64) -> Result<()> {
-        self.warm_for_table(eff.table)?;
-        let base_n = self.base_rows(eff.table)?.len();
-        let payload = eff.encode();
-        let wal_bytes = (payload.len() + FRAME_HEADER_BYTES) as u64;
-        let run = maintain(
-            eff,
-            &self.specs,
-            &self.model,
-            self.base_kind(eff.table),
-            wal_bytes,
-            &|mv, row, col| self.resolve_col(mv, row, col, 0),
-        );
+        let (base_n, run, staged) = self.stage(eff)?;
         let mut st = self.state.write();
-        st.wal.append(&WalFrame {
-            frame_type: FrameType::Commit,
-            lsn,
-            payload,
-        });
         st.next_lsn = st.next_lsn.max(lsn + 1);
+        st.log.append(lsn, vec![staged])?;
         Self::apply(&mut st, eff, lsn, base_n)?;
         Self::absorb(&mut st, &run, lsn);
         Ok(())
@@ -1178,34 +1243,7 @@ impl<'a> Store<'a> {
         model: CostModel,
         wal_bytes: &[u8],
     ) -> Result<(Store<'a>, RecoveryReport)> {
-        let _span = obs::span("store.recover");
-        let store = Store::open(db, mat, model);
-        let rep = wal::replay(wal_bytes);
-        let mut frames_applied = 0usize;
-        let mut checkpoints_seen = 0usize;
-        for f in &rep.frames {
-            match f.frame_type {
-                FrameType::Checkpoint => {
-                    checkpoints_seen += 1;
-                    let mut st = store.state.write();
-                    st.next_lsn = st.next_lsn.max(f.lsn + 1);
-                }
-                FrameType::Commit => {
-                    let eff = CommitEffects::decode(&f.payload)?;
-                    store.replay_commit(&eff, f.lsn)?;
-                    frames_applied += 1;
-                }
-            }
-        }
-        let watermark = store.watermark();
-        let report = RecoveryReport {
-            frames_applied,
-            checkpoints_seen,
-            truncated_bytes: rep.truncated_bytes,
-            duplicates_skipped: rep.duplicates_skipped,
-            watermark,
-        };
-        obs::publish_counters(&report.as_metrics());
+        let (store, report, _) = Self::recover_log(db, mat, model, None, None, wal_bytes)?;
         Ok((store, report))
     }
 
@@ -1222,29 +1260,49 @@ impl<'a> Store<'a> {
         ckpt: &StoreCheckpoint,
         wal_bytes: &[u8],
     ) -> Result<(Store<'a>, RecoveryReport)> {
+        let (store, report, _) = Self::recover_log(db, mat, model, None, Some(ckpt), wal_bytes)?;
+        Ok((store, report))
+    }
+
+    /// The one recovery walker: replay the commit-point stream `head`
+    /// (the WAL — or, with `shards = (spec, shard segments)`, the order
+    /// log) frame by frame, asking the layout's [`LogReader`] for each
+    /// commit's effects and re-applying them in LSN order on top of the
+    /// optional checkpoint artifact. A commit the reader cannot produce
+    /// (a torn shard tail) ends the committed prefix.
+    fn recover_log(
+        db: &'a Database,
+        mat: &'a MaterializedConfig,
+        model: CostModel,
+        shards: Option<(ShardSpec, &[Vec<u8>])>,
+        ckpt: Option<&StoreCheckpoint>,
+        head: &[u8],
+    ) -> Result<(Store<'a>, RecoveryReport, LogReader)> {
         let _span = obs::span("store.recover");
-        let store = Store::open(db, mat, model);
-        {
-            let mut base_ix = store.base_ix.write();
-            for (t, ix) in &ckpt.tables {
-                base_ix.insert(*t, Arc::new(ix.clone()));
-            }
-        }
-        {
+        let (log, mut reader) = match shards {
+            None => (CommitLog::default(), LogReader::Single),
+            Some((spec, segments)) => (
+                CommitLog::sharded(spec)?,
+                LogReader::sharded(spec.shards, segments, Parallelism::Auto)?,
+            ),
+        };
+        let store = Store::with_log(db, mat, model, log);
+        if let Some(ckpt) = ckpt {
+            // Restart from the artifact: its folded structures become the
+            // base pages, and the overlays, totals and LSN counters resume
+            // where the checkpoint left them.
             let mut st = store.state.write();
+            store.start_epoch(&mut st, &ckpt.tables, ckpt.lsn);
+            st.log.resume(&ckpt.shard_next_lsns)?;
             st.next_lsn = ckpt.next_lsn;
             st.watermark = ckpt.lsn;
-            st.log_anchor = ckpt.lsn;
             st.overlays = ckpt.overlays.clone();
             st.totals = ckpt.totals;
         }
-        // Fresh (empty) deltas over the artifact bases, so the recovered
-        // store's state digest covers every folded table.
-        for t in ckpt.tables.keys() {
-            let n = store.base_rows(*t)?.len();
-            store.state.write().deltas.insert(*t, TableDelta::new(n));
-        }
-        let rep = wal::replay(wal_bytes);
+        // Commits at or below the anchor are folded into the artifact;
+        // applying them again would double the write.
+        let anchor = ckpt.map_or(0, |c| c.lsn);
+        let rep = wal::replay(head);
         let mut frames_applied = 0usize;
         let mut checkpoints_seen = 0usize;
         for f in &rep.frames {
@@ -1254,29 +1312,27 @@ impl<'a> Store<'a> {
                     let mut st = store.state.write();
                     st.next_lsn = st.next_lsn.max(f.lsn + 1);
                     // Keep the marker in the recovered log so its bytes
-                    // stay a consistent prefix of the input tail.
-                    st.wal.append(f);
+                    // stay a consistent prefix of the input.
+                    st.log.head_mut().append(f);
                 }
-                FrameType::Commit if f.lsn > ckpt.lsn => {
-                    let eff = CommitEffects::decode(&f.payload)?;
-                    store.replay_commit(&eff, f.lsn)?;
-                    frames_applied += 1;
+                FrameType::Commit if f.lsn <= anchor => {}
+                FrameType::Commit => {
+                    if let Some(eff) = reader.effects(f)? {
+                        store.replay_commit(&eff, f.lsn)?;
+                        frames_applied += 1;
+                    }
                 }
-                // A pre-anchor commit frame is already folded into the
-                // artifact; applying it again would double the write.
-                FrameType::Commit => {}
             }
         }
-        let watermark = store.watermark();
         let report = RecoveryReport {
             frames_applied,
             checkpoints_seen,
             truncated_bytes: rep.truncated_bytes,
             duplicates_skipped: rep.duplicates_skipped,
-            watermark,
+            watermark: store.watermark(),
         };
         obs::publish_counters(&report.as_metrics());
-        Ok((store, report))
+        Ok((store, report, reader))
     }
 }
 

@@ -1,4 +1,5 @@
-//! Randomized properties of the MVCC store's write path:
+//! Randomized properties of the MVCC store's write path, each drawn over
+//! a random log layout (`common::layouts()`):
 //!
 //! * **DELETE snapshot isolation** — a committed delete never disturbs an
 //!   older snapshot; the newer snapshot shrinks by exactly the tombstoned
@@ -6,19 +7,23 @@
 //!   bit.
 //! * **Group-commit equivalence** — for a random mixed workload
 //!   (INSERT/UPDATE/DELETE), any batch size under any `Parallelism` mode
-//!   produces the same WAL bytes, the same per-statement actuals and the
+//!   produces the same log bytes, the same per-statement actuals and the
 //!   same committed state as the serial batch-of-one run, and its log
 //!   recovers to that state.
-//! * **Torn-log recovery** — cutting the WAL at any byte recovers exactly
-//!   the state after the last wholly durable commit.
+//! * **Torn-log recovery** — cutting the commit-point stream (the WAL, or
+//!   the order log) at any byte recovers exactly the state after the last
+//!   wholly durable commit.
+
+mod common;
 
 use cadb_common::{ColumnDef, ColumnId, DataType, Parallelism, Row, TableId, TableSchema, Value};
 use cadb_compression::CompressionKind;
 use cadb_engine::{
-    BulkDelete, BulkInsert, BulkUpdate, Configuration, CostModel, Database, IndexSpec,
-    PhysicalStructure, SizeEstimate, Statement, Workload,
+    BulkDelete, BulkInsert, BulkUpdate, Configuration, Database, IndexSpec, PhysicalStructure,
+    SizeEstimate, Statement, Workload,
 };
-use cadb_exec::{MaterializedConfig, Store, WriteActual};
+use cadb_exec::MaterializedConfig;
+use common::{assert_actuals_eq, commit_one_by_one, layouts, LogSet};
 use proptest::prelude::*;
 
 const T: TableId = TableId(0);
@@ -126,29 +131,20 @@ fn workload(kinds: &[(u8, u64)]) -> Workload {
     w
 }
 
-fn actuals_bitwise_eq(a: &[WriteActual], b: &[WriteActual]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.statement_index == y.statement_index
-                && x.lsn == y.lsn
-                && x.counters == y.counters
-                && x.measured_cost.to_bits() == y.measured_cost.to_bits()
-                && x.measured_mv_cost.to_bits() == y.measured_mv_cost.to_bits()
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn delete_preserves_old_snapshots_and_survives_recovery(
+        layout in 0usize..4,
         n_base in 50usize..250,
         n_del in 1u64..40,
         seed in 0u64..1_000_000,
     ) {
+        let layout = layouts()[layout];
         let db = db(n_base);
         let mat = MaterializedConfig::build(&db, &config(n_base)).unwrap();
-        let store = Store::open(&db, &mat, CostModel::default());
+        let store = layout.open(&db, &mat);
         let pre = store.snapshot();
         let before = pre.table_rows(T).unwrap();
 
@@ -179,33 +175,34 @@ proptest! {
         prop_assert_eq!(scanned, rows);
 
         // Replay reproduces the post-delete state bit for bit.
-        let (rec, rep) =
-            Store::recover(&db, &mat, CostModel::default(), &store.wal_bytes()).unwrap();
-        prop_assert_eq!(rep.frames_applied, 1);
-        prop_assert_eq!(rec.state_digest().unwrap(), store.state_digest().unwrap());
+        let rec = layout.recover(&db, &mat, None, &LogSet::of(&store));
+        prop_assert_eq!(rec.report.frames_applied, 1);
+        prop_assert_eq!(rec.store.state_digest().unwrap(), store.state_digest().unwrap());
     }
 
     #[test]
     fn group_commit_equivalent_to_serial_singleton_commits(
+        layout in 0usize..4,
         n_base in 80usize..200,
         kinds in proptest::collection::vec((0u8..3, 1u64..25), 1..7),
         batch in 2usize..6,
         seed in 0u64..1_000_000,
     ) {
+        let layout = layouts()[layout];
         let db = db(n_base);
         let mat = MaterializedConfig::build(&db, &config(n_base)).unwrap();
         let w = workload(&kinds);
 
         // Reference: serial, one commit (one sync point) per statement.
-        let reference = Store::open(&db, &mat, CostModel::default());
+        let reference = layout.open(&db, &mat);
         let ref_acts = reference
             .apply_workload_batched(&w, seed, Parallelism::Serial, 1)
             .unwrap();
 
         for par in [Parallelism::Auto, Parallelism::Threads(3)] {
-            let store = Store::open(&db, &mat, CostModel::default());
+            let store = layout.open(&db, &mat);
             let acts = store.apply_workload_batched(&w, seed, par, batch).unwrap();
-            prop_assert!(actuals_bitwise_eq(&ref_acts, &acts), "{:?}", par);
+            assert_actuals_eq(&ref_acts, &acts, &format!("{layout:?} {par:?}"));
             prop_assert_eq!(store.wal_frame_digest(), reference.wal_frame_digest());
             prop_assert_eq!(
                 store.state_digest().unwrap(),
@@ -214,11 +211,10 @@ proptest! {
             // Coalesced durability: ⌈n/batch⌉ sync points vs n.
             prop_assert_eq!(store.wal_sync_points().len(), kinds.len().div_ceil(batch));
             // The batched log replays to the same state.
-            let (rec, rep) =
-                Store::recover(&db, &mat, CostModel::default(), &store.wal_bytes()).unwrap();
-            prop_assert_eq!(rep.frames_applied, kinds.len());
+            let rec = layout.recover(&db, &mat, None, &LogSet::of(&store));
+            prop_assert_eq!(rec.report.frames_applied, kinds.len());
             prop_assert_eq!(
-                rec.state_digest().unwrap(),
+                rec.store.state_digest().unwrap(),
                 store.state_digest().unwrap()
             );
         }
@@ -226,37 +222,27 @@ proptest! {
 
     #[test]
     fn torn_log_recovers_last_durable_commit(
+        layout in 0usize..4,
         n_base in 60usize..150,
         kinds in proptest::collection::vec((0u8..3, 1u64..20), 1..6),
         seed in 0u64..1_000_000,
         cut_frac in 0.0f64..1.0,
     ) {
+        let layout = layouts()[layout];
         let db = db(n_base);
         let mat = MaterializedConfig::build(&db, &config(n_base)).unwrap();
-        let store = Store::open(&db, &mat, CostModel::default());
-        let mut digests = vec![store.state_digest().unwrap()];
-        for (idx, (stmt, _)) in workload(&kinds).statements.iter().enumerate() {
-            let label = format!("write-{idx}");
-            let eff = match stmt {
-                Statement::Insert(i) => store.prepare_insert(i, seed, &label).unwrap(),
-                Statement::Update(u) => store.prepare_update(u, seed, &label).unwrap(),
-                Statement::Delete(d) => store.prepare_delete(d, seed, &label).unwrap(),
-                Statement::Select(_) => continue,
-            };
-            store.commit(eff).unwrap();
-            digests.push(store.state_digest().unwrap());
-        }
-        let wal = store.wal_bytes();
+        let store = layout.open(&db, &mat);
+        let digests = commit_one_by_one(&store, &workload(&kinds), seed);
+        let logs = LogSet::of(&store);
         let syncs = store.wal_sync_points();
-        let cut = ((wal.len() as f64) * cut_frac) as usize;
+        let cut = ((logs.head.len() as f64) * cut_frac) as usize;
         // The last sync point at or before the cut indexes the surviving
         // prefix's digest.
         let durable = syncs.partition_point(|&p| p <= cut);
-        let (rec, rep) =
-            Store::recover(&db, &mat, CostModel::default(), &wal[..cut]).unwrap();
-        prop_assert_eq!(rec.state_digest().unwrap(), digests[durable]);
-        prop_assert_eq!(rep.frames_applied, durable);
+        let rec = layout.recover(&db, &mat, None, &logs.with_head_cut(cut));
+        prop_assert_eq!(rec.store.state_digest().unwrap(), digests[durable].0);
+        prop_assert_eq!(rec.report.frames_applied, durable);
         let torn_from = if durable == 0 { 0 } else { syncs[durable - 1] };
-        prop_assert_eq!(rep.truncated_bytes, cut - torn_from);
+        prop_assert_eq!(rec.report.truncated_bytes, cut - torn_from);
     }
 }

@@ -167,11 +167,11 @@
 //!    commit-time interleaving.
 //! 3. **Log.** The critical section assigns the LSN and appends one WAL
 //!    frame per statement; `commit_batch` appends a whole batch
-//!    back-to-back under a **single sync point** (group commit). Frame
-//!    bytes depend only on statement order, so replayed state, WAL-frame
-//!    digests and per-statement actuals are bit-identical across batch
-//!    sizes and [`engine::Parallelism`] modes — only the sync-point count
-//!    changes.
+//!    back-to-back under a **single sync point** per log stream (group
+//!    commit). Frame bytes depend only on statement order, so replayed
+//!    state, WAL-frame digests and per-statement actuals are bit-identical
+//!    across batch sizes and [`engine::Parallelism`] modes — only the
+//!    sync-point count changes.
 //! 4. **Apply.** Version chains gain their new entries and the committed
 //!    watermark advances. Readers never block: old snapshots keep their
 //!    view, and a snapshot-keyed page cache serves patched compressed
@@ -218,35 +218,30 @@
 //! );
 //! ```
 //!
-//! ## How a sharded commit works
+//! **The log layout is a parameter of that one protocol, not a second
+//! one.** By default the log is a single WAL. [`TuningSession::serve_sharded`]
+//! ([`exec::ShardedStore`]) places the same commits on **per-shard WAL
+//! streams under one global commit order**: a [`shard::ShardSpec`] (hash
+//! or range) routes each row of a statement's effects to a shard, every
+//! participating shard appends one sub-frame at its own local LSN, and a
+//! **commit-order record** in a dedicated order log (LSN'd like any frame,
+//! group-committed like any batch) stitches the local LSNs back into the
+//! total order. Shard streams sync *first*, the order record *last* — its
+//! durability is the commit point. Steps 1, 2 and 4 do not know the
+//! layout: maintenance is still priced on the *whole* statement at its
+//! single-WAL frame length (costs are nonlinear, per-shard sums would
+//! drift), so [`exec::WriteActual`]s, state digests and checkpoint
+//! artifacts are bit-identical to the single log's. Recovery is the same
+//! walk over the commit-point stream; under the sharded layout it decodes
+//! the shard segments in parallel first and re-merges each order record's
+//! sub-effects into the original statement. A torn shard tail invalidates
+//! exactly the commits whose order records reference lost frames —
+//! everything from the first gap in the total order is discarded, so
+//! recovery never surfaces a half-committed statement.
 //!
-//! [`TuningSession::serve_sharded`] routes the same write path across
-//! **per-shard WAL streams under one global commit order**
-//! ([`exec::ShardedStore`]). Each shard owns a WAL segment and its slice
-//! of the delta state; a [`shard::ShardSpec`] (hash or range) routes each
-//! statement's effects to shards. What makes it a *serving mode* rather
-//! than a different store:
-//!
-//! 1. **Split.** A commit's effects are split by the router into per-shard
-//!    sub-effects; each shard appends one frame at its own local LSN.
-//!    Maintenance is still priced on the *whole* statement against the
-//!    monolithic frame length, so [`exec::WriteActual`]s are bit-identical
-//!    to the single-log store — costs are nonlinear, per-shard sums would
-//!    drift.
-//! 2. **Order.** A global **commit-order record** (LSN'd like any frame,
-//!    group-committed like any batch) stitches the per-shard local LSNs
-//!    into one total order. Shard frames sync *first*, the order record
-//!    *last* — the order record's durability is the commit point.
-//! 3. **Recover.** Replay decodes every shard segment in parallel, then
-//!    walks the order log serially, re-merging sub-effects into the
-//!    original statements. A torn shard tail invalidates exactly the
-//!    commits whose order records reference lost frames — everything from
-//!    the first gap in the total order is discarded, so recovery never
-//!    surfaces a half-committed statement.
-//!
-//! The equivalence contract is pinned by a test matrix (shard count ×
-//! partitioning × parallelism × batch size, with fault injection at every
-//! per-shard sync point and the order record), and holds end to end:
+//! One test suite runs over every layout (shard count × partitioning ×
+//! parallelism × batch size, with fault injection at every sync point of
+//! every stream), and the identity holds end to end:
 //!
 //! ```
 //! use cadb::datagen::TpchGen;
@@ -261,7 +256,7 @@
 //!     .budget_fraction(0.3);
 //! let rec = session.run().unwrap();
 //!
-//! // Serve the same writes monolithically and across 4 hash shards.
+//! // Serve the same writes through one WAL and across 4 hash shards.
 //! let mono = session.serve(&rec).unwrap();
 //! let sharded = session.serve_sharded(ShardSpec::hash(4)).serve(&rec).unwrap();
 //!

@@ -92,8 +92,8 @@ impl<'a> TuningSession<'a> {
     /// commit-order log. Sharding is an execution strategy, not a
     /// semantic — [`Self::serve`] produces bit-identical state digests,
     /// write actuals and recovery outcomes for every spec, including the
-    /// default monolithic single log (see the crate-level *How a sharded
-    /// commit works* section).
+    /// default single log (see the crate-level *How a write commits*
+    /// section).
     pub fn serve_sharded(mut self, spec: ShardSpec) -> Self {
         self.serve_shards = Some(spec);
         self
@@ -374,10 +374,11 @@ impl<'a> TuningSession<'a> {
             ));
         }
         let mat = MaterializedConfig::build(self.db, &rec.configuration)?;
-        if let Some(spec) = self.serve_shards {
-            return self.serve_through_shards(&mat, spec);
-        }
-        let store = Store::open(self.db, &mat, CostModel::default());
+        let model = CostModel::default;
+        let store: Store<'_> = match self.serve_shards {
+            None => Store::open(self.db, &mat, model()),
+            Some(spec) => ShardedStore::open(self.db, &mat, model(), spec)?.into(),
+        };
         let writes = store.apply_workload(
             workload,
             cadb_exec::DEFAULT_WRITE_SEED,
@@ -385,73 +386,36 @@ impl<'a> TuningSession<'a> {
         )?;
         let totals = store.totals();
         let state_digest = store.state_digest()?;
-        // Snapshot the WAL *before* checkpointing, so live and recovered
-        // stores checkpoint from the same LSN and digests are comparable.
-        let wal = store.wal_bytes();
+        // Snapshot the log set *before* checkpointing, so live and
+        // recovered stores checkpoint from the same LSN and digests are
+        // comparable.
+        let head = store.wal_bytes();
+        let shard_logs = store.all_shard_wal_bytes();
         let live_checkpoint = store.checkpoint()?.digest();
-        let (recovered, recovery) = Store::recover(self.db, &mat, CostModel::default(), &wal)?;
+        // The commit-point stream (the WAL, or the order log) is the
+        // authority on what committed: its report has one frame per
+        // commit under either layout, and a torn shard tail shows up as
+        // missing frames.
+        let (recovered, recovery): (Store<'_>, RecoveryReport) = match self.serve_shards {
+            None => Store::recover(self.db, &mat, model(), &head)?,
+            Some(spec) => {
+                let (recovered, report) =
+                    ShardedStore::recover(self.db, &mat, model(), spec, &head, &shard_logs)?;
+                (recovered.into(), report.order)
+            }
+        };
         let recovered_digest = recovered.state_digest()?;
         let checkpoint_identical = recovered.checkpoint()?.digest() == live_checkpoint;
         Ok(ServeReport {
             writes,
             watermark: store.watermark(),
-            shards: 1,
-            wal_bytes: wal.len(),
-            shard_wal_bytes: Vec::new(),
-            measured_write_cost: totals.measured_cost,
-            measured_mv_cost: totals.measured_mv_cost,
-            state_digest,
-            recovery,
-            recovered_digest,
-            checkpoint_identical,
-        })
-    }
-
-    /// The sharded half of [`Self::serve`]: same contract, but writes are
-    /// routed across per-shard WAL streams under the global commit-order
-    /// log, and recovery replays the whole log *set*.
-    fn serve_through_shards(
-        &self,
-        mat: &MaterializedConfig,
-        spec: ShardSpec,
-    ) -> Result<ServeReport> {
-        let workload = self.workload.expect("serve() checked the workload");
-        let store = ShardedStore::open(self.db, mat, CostModel::default(), spec)?;
-        let writes = store.apply_workload(
-            workload,
-            cadb_exec::DEFAULT_WRITE_SEED,
-            self.options.parallelism,
-        )?;
-        let totals = store.totals();
-        let state_digest = store.state_digest()?;
-        // Snapshot the whole log set *before* checkpointing, for the same
-        // reason as the monolithic path.
-        let order = store.order_bytes();
-        let shard_logs = store.all_shard_wal_bytes();
-        let live_checkpoint = store.checkpoint()?.store.digest();
-        let (recovered, report) = ShardedStore::recover(
-            self.db,
-            mat,
-            CostModel::default(),
-            spec,
-            &order,
-            &shard_logs,
-        )?;
-        let recovered_digest = recovered.state_digest()?;
-        let checkpoint_identical = recovered.checkpoint()?.store.digest() == live_checkpoint;
-        Ok(ServeReport {
-            writes,
-            watermark: store.watermark(),
-            shards: spec.shards,
-            wal_bytes: order.len() + shard_logs.iter().map(Vec::len).sum::<usize>(),
+            shards: self.serve_shards.map_or(1, |spec| spec.shards),
+            wal_bytes: head.len() + shard_logs.iter().map(Vec::len).sum::<usize>(),
             shard_wal_bytes: shard_logs.iter().map(Vec::len).collect(),
             measured_write_cost: totals.measured_cost,
             measured_mv_cost: totals.measured_mv_cost,
             state_digest,
-            // The order log is the authority on what committed; surfacing
-            // its report keeps `recovery_verified()` meaningful (one order
-            // frame per commit, torn shard tails show up as discards).
-            recovery: report.order,
+            recovery,
             recovered_digest,
             checkpoint_identical,
         })

@@ -1,4 +1,4 @@
-//! Lint: library crates must not print.
+//! Lint: library crates must not print, and the store must not panic.
 //!
 //! With `cadb_common::obs` in place, every library-side "interesting
 //! number" has a structured home — a counter, gauge, histogram or span —
@@ -12,6 +12,9 @@
 //! not ours), and integration-test / benchmark / binary directories. A
 //! deliberate exception in library code can carry `// lint: allow-print`
 //! on the same line, with a comment nearby saying why.
+//!
+//! The second check holds `crates/exec/src/store` to ROADMAP aim 3: no
+//! reachable `unwrap`/`expect`/`unreachable!` on its data-dependent paths.
 
 use std::path::{Path, PathBuf};
 
@@ -99,6 +102,36 @@ fn library_crates_do_not_print() {
     assert!(
         violations.is_empty(),
         "library code must publish through cadb_common::obs, not print:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// The store returns `Err`, it does not panic: no `.unwrap()`, `.expect(`
+/// or `unreachable!` in `crates/exec/src/store/*.rs` outside the
+/// `#[cfg(test)]` module that ends each file. Its inputs — log bytes,
+/// shard indexes, checkpoints — come from outside the program.
+#[test]
+fn store_has_no_reachable_panics() {
+    let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/exec/src/store");
+    let mut files = Vec::new();
+    rust_files(&store, &mut files);
+    assert!(files.len() >= 5, "lint walked too few files: {files:?}");
+    let mut violations = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        let library = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        for (i, line) in library.enumerate() {
+            for needle in [".unwrap()", ".expect(", "unreachable!"] {
+                if line.contains(needle) && !only_in_comment(line, needle) {
+                    violations.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "store code must return errors, not panic:\n{}",
         violations.join("\n")
     );
 }

@@ -19,7 +19,8 @@ use cadb::core::{Advisor, AdvisorOptions, Recommendation};
 use cadb::datagen::{TpcdsGen, TpchGen};
 use cadb::engine::lower::lower_statement;
 use cadb::engine::{CostModel, Database, Workload};
-use cadb::exec::{MaterializedConfig, MeasuredRun, Store, DEFAULT_WRITE_SEED};
+use cadb::exec::{MaterializedConfig, MeasuredRun, ShardedStore, Store, DEFAULT_WRITE_SEED};
+use cadb::shard::ShardSpec;
 
 const SCALE: f64 = 0.02;
 const MODES: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Auto];
@@ -135,9 +136,10 @@ fn measured_run_report_identical_under_recording() {
     }
 }
 
-/// The store's committed state, WAL bytes and per-statement measured
-/// costs are bit-identical with and without a recorder, across group
-/// commit batch sizes and parallelism modes.
+/// The store's committed state, log bytes and per-statement measured
+/// costs are bit-identical with and without a recorder, across log
+/// layouts, group commit batch sizes and parallelism modes — and both
+/// layouts speak the same span vocabulary.
 #[test]
 fn store_state_and_actuals_identical_under_recording() {
     let (db, w) = tpch();
@@ -146,29 +148,48 @@ fn store_state_and_actuals_identical_under_recording() {
         .recommend(&w)
         .unwrap();
     let mat = MaterializedConfig::build(&db, &rec.configuration).unwrap();
-    for par in MODES {
-        for batch in [1usize, 16] {
-            let run = || {
-                let store = Store::open(&db, &mat, CostModel::default());
-                let actuals = store
-                    .apply_workload_batched(&w, DEFAULT_WRITE_SEED, par, batch)
-                    .unwrap();
-                let costs: Vec<(usize, u64, u64)> = actuals
-                    .iter()
-                    .map(|a| (a.statement_index, a.measured_cost.to_bits(), a.n_rows))
-                    .collect();
-                (store.state_digest().unwrap(), store.wal_bytes(), costs)
-            };
-            let plain = run();
-            let (traced, trace) = obs::record(run);
-            assert_eq!(plain.0, traced.0, "{par:?}/{batch} state digest");
-            assert_eq!(plain.1, traced.1, "{par:?}/{batch} WAL bytes");
-            assert_eq!(plain.2, traced.2, "{par:?}/{batch} measured costs");
-            assert!(
-                trace.find_span("store.commit_batch").is_some(),
-                "store trace empty"
-            );
-            assert!(trace.counter("store.commits").unwrap_or(0) > 0);
+    for layout in [None, Some(ShardSpec::hash(4))] {
+        for par in MODES {
+            for batch in [1usize, 16] {
+                let run = || {
+                    let store: Store<'_> = match layout {
+                        None => Store::open(&db, &mat, CostModel::default()),
+                        Some(spec) => ShardedStore::open(&db, &mat, CostModel::default(), spec)
+                            .unwrap()
+                            .into(),
+                    };
+                    let actuals = store
+                        .apply_workload_batched(&w, DEFAULT_WRITE_SEED, par, batch)
+                        .unwrap();
+                    let costs: Vec<(usize, u64, u64)> = actuals
+                        .iter()
+                        .map(|a| (a.statement_index, a.measured_cost.to_bits(), a.n_rows))
+                        .collect();
+                    let logs = (store.wal_bytes(), store.all_shard_wal_bytes());
+                    (store.state_digest().unwrap(), logs, costs)
+                };
+                let plain = run();
+                let (traced, trace) = obs::record(run);
+                let ctx = format!("{layout:?}/{par:?}/{batch}");
+                assert_eq!(plain.0, traced.0, "{ctx} state digest");
+                assert_eq!(plain.1, traced.1, "{ctx} log bytes");
+                assert_eq!(plain.2, traced.2, "{ctx} measured costs");
+                for span in [
+                    "store.apply_workload",
+                    "store.commit_batch",
+                    "store.commit.prepare",
+                    "store.commit.append",
+                    "store.commit.apply",
+                ] {
+                    assert!(trace.find_span(span).is_some(), "{ctx}: no {span} span");
+                }
+                assert!(trace.counter("store.commits").unwrap_or(0) > 0);
+                assert_eq!(
+                    trace.counter("store.shard.order_records").is_some(),
+                    layout.is_some(),
+                    "{ctx}: layout-specific counters"
+                );
+            }
         }
     }
 }
