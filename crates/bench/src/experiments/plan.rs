@@ -64,8 +64,8 @@ pub fn index_rich_config(db: &Database, w: &Workload) -> Configuration {
 /// in which the planner's MV paths actually fire, so the MV-path row
 /// estimates can be held against measured output rows. A query is
 /// MV-answerable when its residual predicates sit on grouping columns and
-/// its aggregates are `COUNT(*)`/`SUM(col)` (the executor's `mv_matches` /
-/// `mv_answers_aggregates` rules).
+/// its aggregates are `COUNT(*)`/`SUM(col)` (the planner's MV match plus
+/// the materialized view's exact-aggregate rule, `PathView::can_execute`).
 pub fn mv_rich_config(db: &Database, w: &Workload) -> Configuration {
     let opt = WhatIfOptimizer::new(db);
     let mut cfg = Configuration::empty();
@@ -182,8 +182,15 @@ pub fn plan_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
             "pages planned",
             "pages base",
             "verified",
+            "what-if",
         ],
     );
+    // Footers: one wide cell, the rest of the row empty.
+    let footer = |t: &mut Table, text: String| {
+        let mut cells = vec![String::new(); t.headers.len()];
+        cells[0] = text;
+        t.row(cells);
+    };
     for (i, q) in report.queries.iter().enumerate() {
         let mut path = q.path.clone();
         if path.len() > 48 {
@@ -199,12 +206,14 @@ pub fn plan_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
             format!("{}", q.pages_scanned),
             format!("{}", q.pages_scanned_base),
             if q.matches_reference { "yes" } else { "NO" }.to_string(),
+            if q.agrees { "same" } else { "DIFFERS" }.to_string(),
         ]);
     }
     let non_base = report.queries.iter().filter(|q| q.non_base).count();
     let pages_planned: usize = report.queries.iter().map(|q| q.pages_scanned).sum();
     let pages_base: usize = report.queries.iter().map(|q| q.pages_scanned_base).sum();
-    t.row(vec![
+    footer(
+        &mut t,
         format!(
             "TOTAL: {}/{} non-base, pages {} planned vs {} forced-base ({:.2}x)",
             non_base,
@@ -213,14 +222,25 @@ pub fn plan_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
             pages_base,
             pages_base as f64 / pages_planned.max(1) as f64
         ),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
+    );
+    // Which path did what-if assume, and which one ran? Same planner, two
+    // views: what-if prices with the default cost model (descent 12, CPU
+    // per tuple) and may pick bookmark lookups; the executor prices leaf
+    // pages (descent 1) and runs covering paths only.
+    footer(
+        &mut t,
+        format!(
+            "what-if agree {}/{}",
+            report.whatif_agreement(),
+            report.queries.len()
+        ),
+    );
+    for (i, q) in report.queries.iter().enumerate().filter(|(_, q)| !q.agrees) {
+        footer(
+            &mut t,
+            format!("  q{i}: what-if `{}` / ran `{}`", q.whatif_path, q.path),
+        );
+    }
     let maintenance = match report.mv_maintenance_cost {
         Some(c) => {
             let whatif = match report.mv_maintenance_whatif {
@@ -233,16 +253,7 @@ pub fn plan_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
             "MV maintenance: n/a — workload has no writes (reported as None, not 0)".to_string()
         }
     };
-    t.row(vec![
-        maintenance,
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
+    footer(&mut t, maintenance);
     t
 }
 
@@ -293,6 +304,8 @@ pub fn plan_json(datasets: &[(&str, &Database, &Workload)], scale: f64) -> Strin
                         "non_base_queries",
                         report.queries.iter().filter(|q| q.non_base).count() as i64,
                     )
+                    .int("whatif_agree", report.whatif_agreement() as i64)
+                    .int("queries", report.queries.len() as i64)
                     .raw("rows_bias_by_path", &bias.finish())
                     .raw("measured", &report.to_json())
                     .finish(),
@@ -333,12 +346,20 @@ mod tests {
         assert!(report.mv_maintenance_whatif.is_some());
         assert!(!report.writes.is_empty(), "writes were never committed");
         assert!(report.writes.iter().all(|wr| wr.measured_cost > 0.0));
-        let table = plan_table("tpch", "index-rich", &report);
-        assert!(table.render().contains("non-base"));
+        let table = plan_table("tpch", "index-rich", &report).render();
+        assert!(table.contains("non-base"));
+        assert!(table.contains(&format!(
+            "what-if agree {}/{}",
+            report.whatif_agreement(),
+            report.queries.len()
+        )));
         let bias = path_bias_table("tpch", &[("index-rich", &report)]);
         assert!(bias.render().contains("geomean"));
         let json = plan_json(&[("tpch", &db, &w)], 0.01);
         assert!(json.contains("\"experiment\":\"plan\""));
+        for field in ["\"whatif_agree\":", "\"whatif_path\":", "\"agrees\":"] {
+            assert!(json.contains(field), "plan JSON lost {field}");
+        }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

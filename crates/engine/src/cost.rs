@@ -91,8 +91,14 @@ impl CostModel {
 
     /// Pages needed to store `bytes` of data.
     pub fn bytes_to_pages(&self, bytes: f64) -> f64 {
-        (bytes / PAGE_PAYLOAD as f64).max(1.0)
+        heap_pages(bytes)
     }
+}
+
+/// Pages an uncompressed heap of `bytes` occupies (at least one) — a fact
+/// about the page format, not a tunable of the model.
+pub(crate) fn heap_pages(bytes: f64) -> f64 {
+    (bytes / PAGE_PAYLOAD as f64).max(1.0)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ pub mod predicate;
 pub mod stmt;
 pub mod whatif;
 
-pub use access_path::{extract_key_range, KeyRange};
+pub use access_path::{extract_key_range, KeyRange, PathKind, QueryPlan, TablePath};
 pub use catalog::Database;
 pub use config::{Configuration, IndexSpec, MvSpec, Parallelism, PhysicalStructure, SizeEstimate};
 pub use cost::CostModel;

@@ -12,7 +12,7 @@
 //! `CandidateSelection`, `EnumerationStrategy` — all `Send + Sync`) share
 //! one optimizer across worker pools and concurrent advisor runs.
 
-use crate::access_path::query_plan_cost;
+use crate::access_path::{plan_query, Hypothetical, QueryPlan};
 use crate::cardinality::{mv_estimated_rows, predicate_selectivity};
 use crate::catalog::Database;
 use crate::config::{Configuration, IndexSpec, Parallelism, SizeEstimate};
@@ -107,16 +107,14 @@ impl<'a> WhatIfOptimizer<'a> {
 
     /// Optimizer-estimated cost of a query under a configuration.
     pub fn query_cost(&self, q: &crate::stmt::Query, cfg: &Configuration) -> f64 {
-        query_plan_cost(self.db, &self.model, q, cfg).0
+        self.explain(q, cfg).cost
     }
 
-    /// The chosen access paths (a poor man's EXPLAIN).
-    pub fn explain(
-        &self,
-        q: &crate::stmt::Query,
-        cfg: &Configuration,
-    ) -> Vec<crate::access_path::AccessPath> {
-        query_plan_cost(self.db, &self.model, q, cfg).1
+    /// The plan the optimizer assumes under a configuration — the same
+    /// [`QueryPlan`] the compressed executor consumes, produced by the same
+    /// planner over the [`Hypothetical`] view.
+    pub fn explain(&self, q: &crate::stmt::Query, cfg: &Configuration) -> QueryPlan {
+        plan_query(&Hypothetical { db: self.db, cfg }, &self.model, q)
     }
 
     /// Cost of a bulk insert under a configuration: base append plus

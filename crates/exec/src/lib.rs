@@ -27,16 +27,20 @@
 //!
 //! ## Access-path planning
 //!
-//! [`planner`] picks, per query, the cheapest structure the materialized
-//! configuration holds: the base structure, a covering secondary index
-//! (seeking on a key range extracted from the query's sargable prefix
-//! predicates — [`cadb_engine::extract_key_range`] →
+//! [`planner`] is the **materialized view** of the workspace's one
+//! access-path planner ([`cadb_engine::access_path::plan_query`], which
+//! the what-if optimizer runs over a hypothetical configuration): per
+//! query it picks the cheapest structure the materialized configuration
+//! holds — the base structure, a covering secondary index (seeking on the
+//! key range the query's sargable prefix predicates imply —
+//! [`cadb_engine::KeyRange::from_prefix`] →
 //! [`cadb_storage::PhysicalIndex::page_cursor_range`]), or a matching MV
 //! index that answers a grouped query outright. Planned execution
 //! ([`scan::ExecMode::Compressed`]) is pinned bit-for-bit against
 //! [`scan::ExecMode::ForcedBase`] (full base scans, same kernels) and the
 //! reference by `tests/plan_equivalence.rs` and the metamorphic
-//! properties in `tests/planner_properties.rs`.
+//! properties in `tests/planner_properties.rs`; `tests/planner_views.rs`
+//! pins what the two views may and may not answer differently.
 //!
 //! ## Actuals
 //!

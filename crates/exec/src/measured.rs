@@ -300,6 +300,13 @@ pub struct QueryActual {
     pub estimated_rows_out: f64,
     /// The access path the planner chose, human-readable.
     pub path: String,
+    /// The access path the what-if optimizer assumed for the same query
+    /// under the same configuration (same planner, hypothetical view,
+    /// default cost model).
+    pub whatif_path: String,
+    /// `true` when what-if assumed exactly the `(table, kind, structure)`
+    /// paths that ran ([`cadb_engine::QueryPlan::same_paths`]).
+    pub agrees: bool,
     /// `true` when the plan uses any structure beyond the base scans
     /// (covering index, seek, or MV) — the planner actually doing work.
     pub non_base: bool,
@@ -427,6 +434,11 @@ impl MeasuredReport {
         self.queries.iter().all(|q| q.matches_reference)
     }
 
+    /// Queries whose executed path is the one what-if assumed.
+    pub fn whatif_agreement(&self) -> usize {
+        self.queries.iter().filter(|q| q.agrees).count()
+    }
+
     /// `(method, estimated/measured)` residual per compressed structure —
     /// the raw material for re-calibrating the error model
     /// (`cadb_core::ErrorModel::calibrate_samplecf`).
@@ -481,6 +493,8 @@ impl MeasuredReport {
             queries.push_raw(
                 &JsonObject::new()
                     .str("path", &q.path)
+                    .str("whatif_path", &q.whatif_path)
+                    .bool("agrees", q.agrees)
                     .bool("non_base", q.non_base)
                     .bool("uses_mv", q.uses_mv)
                     .int("rows_out", q.rows_out as i64)
@@ -534,6 +548,7 @@ impl MeasuredReport {
             .raw("queries", &queries.finish())
             .raw("writes", &writes.finish())
             .bool("all_queries_verified", self.all_queries_verified())
+            .int("whatif_agree", self.whatif_agreement() as i64)
             .num("estimated_workload_cost", self.estimated_workload_cost)
             .num("baseline_workload_cost", self.baseline_workload_cost)
             .bool(
@@ -611,16 +626,30 @@ impl<'a> MeasuredRun<'a> {
     pub fn execute(&self, cfg: &Configuration) -> Result<MeasuredReport> {
         let _span = obs::span("exec.measured_run");
         let mat = MaterializedConfig::build_with(self.db, cfg, &self.build)?;
+        let opt = WhatIfOptimizer::new(self.db).with_parallelism(self.parallelism);
         let mut queries = Vec::new();
         for (q, _) in self.workload.queries() {
             let _qspan = obs::span("exec.run_query");
             let plan = plan_query(&mat, q)?;
+            // Which path did what-if assume, and which one ran?
+            let whatif = opt.explain(q, cfg);
+            let agrees = whatif.same_paths(&plan);
+            obs::counter_add(
+                if agrees {
+                    "planner.whatif_agree"
+                } else {
+                    "planner.whatif_disagree"
+                },
+                1,
+            );
             let (rows_c, stats_c) = execute_planned(&mat, q, &plan, self.parallelism)?;
             let (rows_r, stats_r) = execute_query(&mat, q, self.parallelism, ExecMode::Reference)?;
             queries.push(QueryActual {
                 rows_out: rows_c.len(),
                 estimated_rows_out: query_output_rows(self.db, q),
                 path: plan.describe(),
+                whatif_path: whatif.describe(),
+                agrees,
                 non_base: !plan.is_base_only(),
                 uses_mv: plan.mv.is_some(),
                 pages_scanned: stats_c.pages_scanned,
@@ -630,7 +659,6 @@ impl<'a> MeasuredRun<'a> {
                 matches_reference: rows_c == rows_r,
             });
         }
-        let opt = WhatIfOptimizer::new(self.db).with_parallelism(self.parallelism);
         let estimated_total_bytes = cfg.total_bytes();
         let measured_total_bytes = mat.structures().iter().map(|s| s.measured_bytes).sum();
         // Writes: actually commit every INSERT/UPDATE through the store's

@@ -102,32 +102,37 @@ pub fn execute_planned(
     let mut stats = ExecStats::default();
     for path in &plan.tables {
         let t = path.table;
-        let rows = match path.kind {
-            PathKind::BaseScan => {
+        let (rows, s) = match (path.kind, &path.index) {
+            (PathKind::BaseScan, _) => {
                 let preds = base_bound_predicates(q, t);
-                let (rows, s) = scan_filter(mat.base(t)?, &preds, par, ExecMode::Compressed)?;
-                stats.merge(&s);
-                rows
+                scan_filter(mat.base(t)?, &preds, par, ExecMode::Compressed)?
             }
-            PathKind::IndexScan | PathKind::IndexSeek => {
-                let spec = path.index.as_ref().expect("index path has a spec");
-                let (rows, s) = index_table_scan(
-                    mat,
-                    q,
-                    t,
-                    spec,
-                    path.key_range.as_ref(),
-                    par,
-                    ExecMode::Compressed,
-                )?;
-                stats.merge(&s);
-                rows
-            }
-            PathKind::MvScan => unreachable!("MV paths handled above"),
+            (PathKind::IndexScan | PathKind::IndexSeek, Some(spec)) => index_table_scan(
+                mat,
+                q,
+                t,
+                spec,
+                path.key_range.as_ref(),
+                par,
+                ExecMode::Compressed,
+            )?,
+            _ => return Err(not_executable(path)),
         };
+        stats.merge(&s);
         streams.insert(t, rows);
     }
     Ok((finish_query(q, &streams), stats))
+}
+
+/// A path the materialized view cannot run — a what-if plan with bookmark
+/// lookups, an MV path among the table paths, a path without its structure
+/// — reached the executor in a hand-built or stale plan.
+fn not_executable(path: &TablePath) -> CadbError {
+    CadbError::InvalidArgument(format!(
+        "the compressed executor cannot run {:?} path `{}`",
+        path.kind,
+        path.describe()
+    ))
 }
 
 /// The query's predicates on `t`, bound to base-structure ordinals (the
@@ -209,8 +214,9 @@ fn execute_mv_path(
     path: &TablePath,
     par: Parallelism,
 ) -> Result<(Vec<Row>, ExecStats)> {
-    let spec = path.index.as_ref().expect("MV path has a spec");
-    let mv = spec.mv.as_ref().expect("MV path spec has an MV");
+    let Some((spec, mv)) = path.index.as_ref().and_then(|s| Some((s, s.mv.as_ref()?))) else {
+        return Err(not_executable(path));
+    };
     let ix = mat.structure(spec).ok_or_else(|| {
         CadbError::NotFound(format!("planned MV structure {spec} was not materialized"))
     })?;

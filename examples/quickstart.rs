@@ -63,9 +63,12 @@ fn main() {
     let opt = WhatIfOptimizer::new(&db);
     let mut queries = workload.queries();
     if let Some((q, _)) = queries.next() {
-        println!("\nplan for the first query:");
-        for path in opt.explain(q, &rec.configuration) {
-            println!("  {} (cost {:.1})", path.describe, path.cost);
+        // `explain` returns the same `QueryPlan` the compressed executor
+        // consumes (one planner, hypothetical view).
+        let plan = opt.explain(q, &rec.configuration);
+        println!("\nplan for the first query (cost {:.1}):", plan.cost);
+        for path in plan.paths() {
+            println!("  {} (cost {:.1})", path.describe(), path.cost);
         }
     }
 }

@@ -284,23 +284,50 @@ impl<'a> TuningSession<'a> {
     ///
     /// # How a query picks its access path
     ///
-    /// Each query is planned against the materialized configuration by
-    /// `cadb_exec::planner`: for every table it touches, the planner
-    /// enumerates the base structure (the recommendation's clustered
-    /// index, or an uncompressed heap), every covering secondary index —
-    /// with the query's sargable prefix predicates pushed down as a key
-    /// range so the scan *seeks* to the first qualifying leaf instead of
-    /// walking all of them — and, at whole-query level, a matching MV
-    /// index that answers the aggregation outright. Paths are priced in
-    /// estimated leaf pages (the advisor's own
-    /// [`SizeEstimate`](cadb_engine::SizeEstimate)s, scaled for seeks by
-    /// the real fraction of leaves the key range selects) and the
-    /// cheapest wins; ties go to the base structure. The returned
-    /// [`MeasuredReport`] records the chosen path and estimated-vs-
-    /// measured output rows per query, and every planned execution is
-    /// still verified bit-for-bit against the reference — the planner is
-    /// never allowed to change an answer (`tests/plan_equivalence.rs`
-    /// pins planned ≡ forced-base ≡ reference).
+    /// There is **one access-path model** in the workspace,
+    /// [`engine::access_path::plan_query`](cadb_engine::access_path::plan_query):
+    /// for every table a query touches it enumerates the base structure
+    /// (the recommendation's clustered index, or an uncompressed heap),
+    /// every secondary index — as a covering scan, or as a *seek* on the
+    /// sargable prefix of its key columns, so only the qualifying leaves
+    /// are read — and, at whole-query level, a matching MV index that
+    /// answers the aggregation outright; it prices each with one cost
+    /// formula and keeps the cheapest (ties go to the earlier candidate,
+    /// the base structure first). Two callers run it over two *views* of
+    /// the same configuration
+    /// ([`PathView`](cadb_engine::access_path::PathView)):
+    ///
+    /// * the **what-if optimizer** (`WhatIfOptimizer::explain` /
+    ///   `query_cost`, what the advisor pays for structures with) sees a
+    ///   *hypothetical* configuration: estimated pages, rows from
+    ///   statistics, seek fractions from predicate selectivities,
+    ///   everything executable — including bookmark lookups on
+    ///   non-covering indexes — under `CostModel::default()`;
+    /// * the **executor** (`cadb_exec::plan_query`, what runs here) sees
+    ///   the *materialized* one: the same estimated pages, real row
+    ///   counts, the real fraction of leaves a pushed-down key range
+    ///   selects (the B+Tree descent yields it for free), and only what
+    ///   it can run — covering paths, and MVs whose aggregates are
+    ///   `COUNT(*)`/`SUM(col)` — under one constant model that prices
+    ///   leaf pages only (in memory, decode work is proportional to the
+    ///   pages touched; a descent is one page).
+    ///
+    /// So "the index what-if paid for is the index the server uses" is a
+    /// comparison of two [`QueryPlan`](cadb_engine::QueryPlan)s, and the
+    /// returned [`MeasuredReport`] makes it per query: the chosen path,
+    /// the path what-if assumed and whether they agree
+    /// ([`QueryActual::agrees`](cadb_exec::measured::QueryActual)), beside
+    /// estimated-vs-measured output rows. On TPC-H the advisor's own
+    /// recommendations agree on every query; an index-per-query
+    /// configuration shows three visible differences out of 22 (what-if's
+    /// 12-unit descent keeps it on few-leaf heaps the executor seeks past;
+    /// what-if takes an MV where the executor seeks 2 of 23 leaves; the
+    /// two pick different covering indexes of one seek) — see
+    /// EXPERIMENTS.md. Every planned execution is still verified
+    /// bit-for-bit against the reference — the planner is never allowed to
+    /// change an answer (`tests/plan_equivalence.rs` pins planned ≡
+    /// forced-base ≡ reference; `tests/plan_golden.rs` pins both views'
+    /// plans across commits).
     ///
     /// ```
     /// use cadb::datagen::TpchGen;

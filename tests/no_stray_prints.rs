@@ -13,8 +13,10 @@
 //! deliberate exception in library code can carry `// lint: allow-print`
 //! on the same line, with a comment nearby saying why.
 //!
-//! The second check holds `crates/exec/src/store` to ROADMAP aim 3: no
-//! reachable `unwrap`/`expect`/`unreachable!` on its data-dependent paths.
+//! The other checks hold `crates/exec/src/store` and the planning/execution
+//! path (`access_path.rs`, `exec/planner.rs`, `exec/query.rs`) to ROADMAP
+//! aim 3: no reachable `unwrap`/`expect`/`unreachable!` on data-dependent
+//! paths.
 
 use std::path::{Path, PathBuf};
 
@@ -106,18 +108,11 @@ fn library_crates_do_not_print() {
     );
 }
 
-/// The store returns `Err`, it does not panic: no `.unwrap()`, `.expect(`
-/// or `unreachable!` in `crates/exec/src/store/*.rs` outside the
-/// `#[cfg(test)]` module that ends each file. Its inputs — log bytes,
-/// shard indexes, checkpoints — come from outside the program.
-#[test]
-fn store_has_no_reachable_panics() {
-    let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/exec/src/store");
-    let mut files = Vec::new();
-    rust_files(&store, &mut files);
-    assert!(files.len() >= 5, "lint walked too few files: {files:?}");
+/// `.unwrap()`, `.expect(` and `unreachable!` occurrences in `files`
+/// outside the `#[cfg(test)]` module that ends each file.
+fn reachable_panics(files: &[PathBuf]) -> Vec<String> {
     let mut violations = Vec::new();
-    for file in &files {
+    for file in files {
         let text = std::fs::read_to_string(file)
             .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
         let library = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
@@ -129,9 +124,41 @@ fn store_has_no_reachable_panics() {
             }
         }
     }
+    violations
+}
+
+/// The store returns `Err`, it does not panic: no `.unwrap()`, `.expect(`
+/// or `unreachable!` in `crates/exec/src/store/*.rs`. Its inputs — log
+/// bytes, shard indexes, checkpoints — come from outside the program.
+#[test]
+fn store_has_no_reachable_panics() {
+    let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/exec/src/store");
+    let mut files = Vec::new();
+    rust_files(&store, &mut files);
+    assert!(files.len() >= 5, "lint walked too few files: {files:?}");
+    let violations = reachable_panics(&files);
     assert!(
         violations.is_empty(),
         "store code must return errors, not panic:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Neither do planning and execution: queries, configurations and — through
+/// the public `execute_planned` — whole plans are caller-supplied.
+#[test]
+fn planner_and_executor_have_no_reachable_panics() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = [
+        "crates/engine/src/access_path.rs",
+        "crates/exec/src/planner.rs",
+        "crates/exec/src/query.rs",
+    ]
+    .map(|f| root.join(f));
+    let violations = reachable_panics(&files);
+    assert!(
+        violations.is_empty(),
+        "planning and execution must return errors, not panic:\n{}",
         violations.join("\n")
     );
 }
