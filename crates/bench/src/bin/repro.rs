@@ -17,122 +17,146 @@
 //!   fig16     TPC-H all features, SELECT-intensive, DTAc vs DTA
 //!   fig17     TPC-H all features, INSERT-intensive, DTAc vs DTA
 //!   motivating  §1 Examples 1–2 (staged vs integrated)
-//!   par       parallel estimation pipeline speedup (serial vs pool)
 //!   advise    one DTAc tuning run (machine-readable with --json)
 //!   exec      estimated vs MEASURED: build + execute the recommendation
-//!             on TPC-H and TPC-DS (machine-readable with --json)
+//!             on TPC-H and TPC-DS, plus TPC-H's per-statement measured
+//!             maintenance (machine-readable with --json)
 //!   plan      access-path planner actuals: which path each query took
 //!             (base / covering-index seek / MV), estimated vs measured
-//!             rows per path class (machine-readable with --json)
-//!   serve     WAL'd write path: commit the workload's INSERT/UPDATEs
-//!             through the snapshot-isolated store, measure maintenance
-//!             per statement, and verify crash recovery bit-for-bit
-//!             (machine-readable with --json); with --shards N, also
-//!             sweep the sharded serving layer (per-shard WAL streams
-//!             under a global commit order) over shard counts up to N
-//!   shard     out-of-core sharded data path: stream-generate tables in
-//!             chunks, build partitioned structures under the memory
-//!             budget, verify shard-count invariance, report peak bytes
-//!   obs       traced advise → execute → serve pass (span tree + metrics)
-//!             plus the store's group-commit latency/throughput curve
-//!             across batch sizes (machine-readable with --json)
+//!             rows per path class, plus TPC-H's per-statement measured
+//!             maintenance under mv-rich (machine-readable with --json)
 //!   all       everything above (default)
 //!
 //! --json    emit machine-readable reports (Recommendation +
 //!           SizeEstimationReport / MeasuredReport JSON) for the
-//!           experiments that produce them (currently: advise, exec,
-//!           plan, serve, obs)
+//!           experiments that produce them (advise, exec, plan)
 //! --mem-budget MiB
 //!           run materializations through the striped out-of-core build
 //!           path under a hard memory cap (default: unlimited, metering
 //!           only); exceeded budgets fail loudly instead of thrashing
-//! --shards N
-//!           serve experiment only: commit the write burst through the
-//!           sharded store at power-of-two shard counts up to N (plus the
-//!           monolithic baseline), asserting digest identity and recovery
-//!           at every count
 //! --trace FILE
 //!           record the whole run under a TraceRecorder and write the
 //!           span-tree + metrics JSON (TraceReport::to_json) to FILE
 //! ```
+//!
+//! `repro` only reproduces the paper's evaluation; timing code paths is
+//! the job of the repository benchmark (`BENCHMARK.json`, `benchmark/`).
 
 use cadb_bench::experiments::designs::{
     design_figure, VariantSet, BUDGETS, INSERT_INTENSIVE, SELECT_INTENSIVE,
 };
 use cadb_bench::experiments::{
-    advise, calibration, estimation_runtime, exec_actuals, graph_quality, motivating, mv_rows,
-    obs as obs_exp, par_speedup, plan, serve, shard_path,
+    advise, calibration, estimation_runtime, exec_actuals, graph_quality, motivating, mv_rows, plan,
 };
 use cadb_common::obs;
 use cadb_core::FeatureSet;
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which = "all".to_string();
-    let mut scale = 0.2f64;
-    let mut json = false;
-    let mut mem_budget_mib: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut trace_file: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
+/// Every experiment name `repro` accepts, in `all` order.
+const EXPERIMENTS: [&str; 17] = [
+    "all",
+    "table1",
+    "fig9",
+    "fig10",
+    "table4",
+    "scaling",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "motivating",
+    "advise",
+    "exec",
+    "plan",
+];
+
+/// Parsed command line.
+#[derive(Debug)]
+struct Args {
+    experiment: String,
+    scale: f64,
+    json: bool,
+    mem_budget_mib: Option<usize>,
+    trace_file: Option<String>,
+}
+
+/// Parse the command line (program name excluded). Rejects an unknown
+/// `--option`, an option missing its value, an unknown experiment and a
+/// second experiment name, so no input is silently dropped.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        experiment: "all".to_string(),
+        scale: 0.2,
+        json: false,
+        mem_budget_mib: None,
+        trace_file: None,
+    };
+    let mut experiment: Option<&str> = None;
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--json" => parsed.json = true,
             "--scale" => {
-                scale = args
-                    .get(i + 1)
+                parsed.scale = it
+                    .next()
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--scale needs a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
+                    .ok_or("--scale needs a number")?;
             }
             "--mem-budget" => {
-                mem_budget_mib = Some(args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(
-                    || {
-                        eprintln!("--mem-budget needs a size in MiB");
-                        std::process::exit(2);
-                    },
-                ));
-                i += 2;
-            }
-            "--shards" => {
-                shards = Some(
-                    args.get(i + 1)
+                parsed.mem_budget_mib = Some(
+                    it.next()
                         .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| {
-                            eprintln!("--shards needs a shard count");
-                            std::process::exit(2);
-                        }),
+                        .ok_or("--mem-budget needs a size in MiB")?,
                 );
-                i += 2;
             }
             "--trace" => {
-                trace_file = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--trace needs an output file path");
-                    std::process::exit(2);
-                }));
-                i += 2;
+                parsed.trace_file =
+                    Some(it.next().ok_or("--trace needs an output file path")?.into());
             }
-            other => {
-                which = other.to_string();
-                i += 1;
+            opt if opt.starts_with('-') => {
+                return Err(format!(
+                    "unknown option '{opt}'; options: --scale S, --json, --mem-budget MiB, --trace FILE"
+                ));
+            }
+            name => {
+                if let Some(first) = experiment {
+                    return Err(format!(
+                        "more than one experiment given ('{first}', '{name}'); run one, or 'all'"
+                    ));
+                }
+                if !EXPERIMENTS.contains(&name) {
+                    return Err(format!(
+                        "unknown experiment '{name}'; one of: {}",
+                        EXPERIMENTS.join(", ")
+                    ));
+                }
+                experiment = Some(name);
             }
         }
     }
+    if let Some(name) = experiment {
+        parsed.experiment = name.to_string();
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let t0 = Instant::now();
-    match trace_file {
+    match &args.trace_file {
         Some(path) => {
             // Trace the whole run: every experiment's spans/metrics land in
             // one report. Recording is observational only — the printed
             // tables are bit-identical to an untraced run.
-            let ((), report) = obs::record(|| run(&which, scale, json, mem_budget_mib, shards));
-            std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
+            let ((), report) = obs::record(|| run(&args));
+            std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
                 eprintln!("--trace: cannot write {path}: {e}");
                 std::process::exit(2);
             });
@@ -142,9 +166,13 @@ fn main() {
                 report.metric_count()
             );
         }
-        None => run(&which, scale, json, mem_budget_mib, shards),
+        None => run(&args),
     }
-    eprintln!("[repro {which}: {:.1}s]", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "[repro {}: {:.1}s]",
+        args.experiment,
+        t0.elapsed().as_secs_f64()
+    );
 }
 
 /// Build options for the measured materializations: striped + budgeted
@@ -172,7 +200,13 @@ fn sales(scale: f64) -> (cadb_engine::Database, cadb_engine::Workload) {
     (db, w)
 }
 
-fn run(which: &str, scale: f64, json: bool, mem_budget_mib: Option<usize>, shards: Option<usize>) {
+fn run(args: &Args) {
+    let (which, scale, json, mem_budget_mib) = (
+        args.experiment.as_str(),
+        args.scale,
+        args.json,
+        args.mem_budget_mib,
+    );
     let all = which == "all";
     if all || which == "table1" {
         let (db, _) = tpch((scale * 2.5).min(1.0));
@@ -302,10 +336,6 @@ fn run(which: &str, scale: f64, json: bool, mem_budget_mib: Option<usize>, shard
         let (db, w) = tpch(scale);
         println!("{}", motivating::motivating(&db, &w).render());
     }
-    if all || which == "par" {
-        let (db, w) = tpch(scale);
-        println!("{}", par_speedup::par_speedup(&db, &w).render());
-    }
     if all || which == "advise" {
         let (db, w) = tpch(scale);
         if json {
@@ -327,14 +357,11 @@ fn run(which: &str, scale: f64, json: bool, mem_budget_mib: Option<usize>, shard
         } else {
             // One budget handle per dataset: the meter is shared state, so
             // a per-dataset clone keeps each peak readable on its own.
-            let budget_h = match mem_budget_mib {
+            let budget = || match mem_budget_mib {
                 Some(mib) => cadb_common::MemoryBudget::limited(mib << 20),
                 None => cadb_common::MemoryBudget::unlimited(),
             };
-            let budget_ds = match mem_budget_mib {
-                Some(mib) => cadb_common::MemoryBudget::limited(mib << 20),
-                None => cadb_common::MemoryBudget::unlimited(),
-            };
+            let (budget_h, budget_ds) = (budget(), budget());
             let (rec_h, report_h, fraction_h) = exec_actuals::measure_with_build(
                 &db,
                 &w,
@@ -361,6 +388,10 @@ fn run(which: &str, scale: f64, json: bool, mem_budget_mib: Option<usize>, shard
             let (mt, _, _, _) =
                 exec_actuals::maintenance_feedback(&db, &w, &rec_h.configuration, &report_h);
             println!("{}", mt.render());
+            println!(
+                "{}",
+                exec_actuals::write_table("TPC-H", "DTAc rec", &report_h).render()
+            );
             let (peak_h, peak_ds) = (budget_h.peak_bytes(), budget_ds.peak_bytes());
             println!(
                 "exec: build peak memory {:.1} MiB (TPC-H) / {:.1} MiB (TPC-DS){}",
@@ -403,83 +434,51 @@ fn run(which: &str, scale: f64, json: bool, mem_budget_mib: Option<usize>, shard
                     )
                     .render()
                 );
+                // TPC-H only, like `exec`'s: the dataset EXPERIMENTS.md
+                // re-examines Figs. 13/17 on.
+                if name == "TPC-H" {
+                    println!(
+                        "{}",
+                        exec_actuals::write_table(name, "mv-rich", &mv_rich).render()
+                    );
+                }
             }
         }
     }
-    if all || which == "serve" {
-        let (db, w) = tpch(scale);
-        if json {
-            println!("{}", serve::serve_json(&[("tpch", &db, &w)], scale));
-        } else {
-            for (variant, cfg) in [
-                ("DTAc rec", plan::dtac_config(&db, &w)),
-                ("mv-rich", plan::mv_rich_config(&db, &w)),
-            ] {
-                let out = serve::serve_measure(&db, &w, &cfg);
-                assert!(
-                    out.recovery_verified,
-                    "serve: recovery diverged from the live store ({variant})"
-                );
-                println!("{}", serve::serve_table("TPC-H", variant, &out).render());
-            }
-        }
-        if let Some(max) = shards {
-            // Power-of-two shard counts up to --shards N, N always last.
-            let mut counts: Vec<usize> = std::iter::successors(Some(1usize), |n| n.checked_mul(2))
-                .take_while(|n| *n < max)
-                .collect();
-            counts.push(max.max(1));
-            let points = serve::sharded_serve_curve(&db, &plan::mv_rich_config(&db, &w), &counts);
-            assert!(
-                points.iter().all(|p| p.recovery_verified),
-                "serve --shards: a sharded log set failed to recover"
-            );
-            println!("{}", serve::sharded_serve_table("TPC-H", &points).render());
-        }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
-    if all || which == "shard" {
-        println!(
-            "{}",
-            shard_path::shard_table(scale, mem_budget_mib).render()
-        );
+
+    #[test]
+    fn parses_experiment_and_options_in_any_order() {
+        let a = parse(&["--scale", "0.05", "exec", "--json", "--mem-budget", "64"]).unwrap();
+        assert_eq!(a.experiment, "exec");
+        assert_eq!(a.scale, 0.05);
+        assert!(a.json);
+        assert_eq!(a.mem_budget_mib, Some(64));
+        assert_eq!(parse(&[]).unwrap().experiment, "all");
     }
-    if all || which == "obs" {
-        let (db, w) = tpch(scale);
-        if json {
-            println!("{}", obs_exp::obs_json(&db, &w, scale));
-        } else {
-            let trace = obs_exp::traced_pipeline(&db, &w);
-            println!("obs: traced advise -> execute -> serve (TPC-H)");
-            println!("{}", trace.render());
-            let points = obs_exp::wal_batch_curve(&db, &plan::dtac_config(&db, &w));
-            println!("{}", obs_exp::wal_batch_table("TPC-H", &points).render());
-        }
+
+    #[test]
+    fn second_experiment_name_is_rejected() {
+        let e = parse(&["table1", "motivating", "--scale", "0.01"]).unwrap_err();
+        assert!(e.contains("'table1'") && e.contains("'motivating'"), "{e}");
     }
-    let known = [
-        "all",
-        "table1",
-        "fig9",
-        "fig10",
-        "table4",
-        "scaling",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "motivating",
-        "par",
-        "advise",
-        "exec",
-        "plan",
-        "serve",
-        "shard",
-        "obs",
-    ];
-    if !known.contains(&which) {
-        eprintln!("unknown experiment '{which}'; one of: {}", known.join(", "));
-        std::process::exit(2);
+
+    #[test]
+    fn unknown_option_is_named_not_taken_as_experiment() {
+        let e = parse(&["--scal", "0.01"]).unwrap_err();
+        assert!(e.contains("unknown option '--scal'"), "{e}");
+        let e = parse(&["serve"]).unwrap_err();
+        assert!(e.contains("unknown experiment 'serve'"), "{e}");
+        assert!(parse(&["plan", "--shards", "4"]).is_err());
+        assert!(parse(&["--scale"]).is_err());
+        assert!(parse(&["--scale", "x"]).is_err());
     }
 }

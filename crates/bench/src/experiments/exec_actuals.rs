@@ -110,10 +110,6 @@ pub fn exec_table(name: &str, report: &MeasuredReport) -> Table {
         format!("{:.1}", report.estimated_total_bytes / 1024.0),
         format!("{:.1}", report.measured_total_bytes as f64 / 1024.0),
         format!("{:+.1}", 100.0 * report.total_size_error()),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
     ]);
     let verified = if report.all_queries_verified() {
         "all verified"
@@ -130,19 +126,10 @@ pub fn exec_table(name: &str, report: &MeasuredReport) -> Table {
         .iter()
         .map(|q| q.predicate_evals_reference)
         .sum();
-    t.row(vec![
-        format!(
-            "queries: {} run, {verified}; predicate evals {evals_c} compressed vs {evals_r} reference",
-            report.queries.len()
-        ),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
+    t.footer(format!(
+        "queries: {} run, {verified}; predicate evals {evals_c} compressed vs {evals_r} reference",
+        report.queries.len()
+    ));
     t
 }
 
@@ -299,6 +286,39 @@ pub fn maintenance_feedback(
     (t, before, after, n)
 }
 
+/// Per-statement maintenance of one dataset × configuration: every write
+/// the run committed through the store, its what-if estimate beside the
+/// measured cost, the MV share and the WAL bytes it appended. `repro --
+/// exec` prints it for the DTAc recommendation and `repro -- plan` for
+/// `mv-rich`; EXPERIMENTS.md re-examines Figs. 13/17 from these rows.
+pub fn write_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
+    let mut t = Table::new(
+        format!("writes: {name} measured maintenance per statement ({variant})"),
+        &[
+            "stmt", "kind", "rows", "est cost", "measured", "est/meas", "mv share", "wal B",
+        ],
+    );
+    for w in &report.writes {
+        t.row(vec![
+            format!("{}", w.statement_index),
+            format!("{:?}", w.kind).to_uppercase(),
+            format!("{}", w.n_rows),
+            format!("{:.1}", w.estimated_cost),
+            format!("{:.1}", w.measured_cost),
+            format!("{:.2}", w.cost_ratio()),
+            format!("{:.1}", w.measured_mv_cost),
+            format!("{}", w.wal_bytes),
+        ]);
+    }
+    let measured: f64 = report.writes.iter().map(|w| w.measured_cost).sum();
+    let mv: f64 = report.writes.iter().map(|w| w.measured_mv_cost).sum();
+    let (bias, n) = ErrorModel::maintenance_bias(&report.maintenance_residuals());
+    t.footer(format!(
+        "total: measured {measured:.1} (mv {mv:.1}), geomean est/meas {bias:.2} over {n} writes"
+    ));
+    t
+}
+
 /// Machine-readable form of the whole experiment: one document with the
 /// recommendation and the measured report per dataset.
 pub fn exec_json(datasets: &[(&str, &Database, &Workload)], scale: f64) -> String {
@@ -356,6 +376,9 @@ mod tests {
         assert!(after.ln().abs() <= before.ln().abs() + 1e-9);
         assert!((after - 1.0).abs() < 0.05, "after-feedback bias {after}");
         assert!(mt.render().contains("after feedback"));
+        let writes = write_table("tpch", "DTAc rec", &report).render();
+        assert!(writes.contains("INSERT"), "{writes}");
+        assert!(writes.contains(&format!("over {n} writes")), "{writes}");
         let json = exec_json(&[("tpch", &db, &w)], 0.01);
         assert!(json.contains("\"all_queries_verified\":true"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -8,11 +8,7 @@ pub mod exec_actuals;
 pub mod graph_quality;
 pub mod motivating;
 pub mod mv_rows;
-pub mod obs;
-pub mod par_speedup;
 pub mod plan;
-pub mod serve;
-pub mod shard_path;
 
 use cadb_common::ColumnId;
 use cadb_engine::IndexSpec;

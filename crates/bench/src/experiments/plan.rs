@@ -185,12 +185,6 @@ pub fn plan_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
             "what-if",
         ],
     );
-    // Footers: one wide cell, the rest of the row empty.
-    let footer = |t: &mut Table, text: String| {
-        let mut cells = vec![String::new(); t.headers.len()];
-        cells[0] = text;
-        t.row(cells);
-    };
     for (i, q) in report.queries.iter().enumerate() {
         let mut path = q.path.clone();
         if path.len() > 48 {
@@ -212,34 +206,28 @@ pub fn plan_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
     let non_base = report.queries.iter().filter(|q| q.non_base).count();
     let pages_planned: usize = report.queries.iter().map(|q| q.pages_scanned).sum();
     let pages_base: usize = report.queries.iter().map(|q| q.pages_scanned_base).sum();
-    footer(
-        &mut t,
-        format!(
-            "TOTAL: {}/{} non-base, pages {} planned vs {} forced-base ({:.2}x)",
-            non_base,
-            report.queries.len(),
-            pages_planned,
-            pages_base,
-            pages_base as f64 / pages_planned.max(1) as f64
-        ),
-    );
+    t.footer(format!(
+        "TOTAL: {}/{} non-base, pages {} planned vs {} forced-base ({:.2}x)",
+        non_base,
+        report.queries.len(),
+        pages_planned,
+        pages_base,
+        pages_base as f64 / pages_planned.max(1) as f64
+    ));
     // Which path did what-if assume, and which one ran? Same planner, two
     // views: what-if prices with the default cost model (descent 12, CPU
     // per tuple) and may pick bookmark lookups; the executor prices leaf
     // pages (descent 1) and runs covering paths only.
-    footer(
-        &mut t,
-        format!(
-            "what-if agree {}/{}",
-            report.whatif_agreement(),
-            report.queries.len()
-        ),
-    );
+    t.footer(format!(
+        "what-if agree {}/{}",
+        report.whatif_agreement(),
+        report.queries.len()
+    ));
     for (i, q) in report.queries.iter().enumerate().filter(|(_, q)| !q.agrees) {
-        footer(
-            &mut t,
-            format!("  q{i}: what-if `{}` / ran `{}`", q.whatif_path, q.path),
-        );
+        t.footer(format!(
+            "  q{i}: what-if `{}` / ran `{}`",
+            q.whatif_path, q.path
+        ));
     }
     let maintenance = match report.mv_maintenance_cost {
         Some(c) => {
@@ -253,7 +241,7 @@ pub fn plan_table(name: &str, variant: &str, report: &MeasuredReport) -> Table {
             "MV maintenance: n/a — workload has no writes (reported as None, not 0)".to_string()
         }
     };
-    footer(&mut t, maintenance);
+    t.footer(maintenance);
     t
 }
 

@@ -23,9 +23,15 @@ impl Table {
         }
     }
 
-    /// Append a row.
+    /// Append a row. A row shorter than the header renders as if padded
+    /// with empty cells.
     pub fn row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
+    }
+
+    /// Append a footer: one text cell in the first column, the rest empty.
+    pub fn footer(&mut self, text: impl Into<String>) {
+        self.rows.push(vec![text.into()]);
     }
 
     /// Render with aligned columns.

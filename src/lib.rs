@@ -387,9 +387,11 @@
 //! # let _ = rec;
 //! ```
 //!
-//! `repro -- obs` runs a traced advise → execute → serve pass and prints
-//! the store's group-commit latency/throughput curve from the recorded
-//! `store.group_commit_ns` histograms.
+//! Commit throughput and latency are measured by the repository benchmark
+//! (`BENCHMARK.json` + `benchmark/`: `commits_per_s`, `commit_p50_us`,
+//! `commit_p99_us`, `store.group_commit16_commits_per_s`); a recorder
+//! installed around a store also sees every group commit as a
+//! `store.group_commit_ns` histogram sample.
 
 mod session;
 

@@ -11,6 +11,8 @@
 //! codecs, and the fallback is pinned separately in the exec crate's
 //! property suite.
 
+mod common;
+
 use cadb::common::{ColumnId, Parallelism};
 use cadb::compression::CompressionKind;
 use cadb::datagen::{TpcdsGen, TpchGen};
@@ -19,6 +21,7 @@ use cadb::engine::{
 };
 use cadb::exec::{execute_query, ExecMode, MaterializedConfig, MeasuredRun};
 use cadb::TuningSession;
+use common::mv_index;
 
 const SCALE: f64 = 0.02;
 
@@ -156,4 +159,40 @@ fn measured_run_closes_the_loop_on_tpch_and_tpcds() {
             .unwrap();
         assert_eq!(serial.to_json(), report.to_json(), "{name} parallelism");
     }
+}
+
+/// `repro -- plan`'s `mv-rich` configuration (one MV index per
+/// MV-answerable query), rebuilt here because the bench crate is not a
+/// dependency of the facade.
+fn mv_rich_config(db: &Database, w: &Workload) -> Configuration {
+    let opt = WhatIfOptimizer::new(db);
+    let mut cfg = Configuration::empty();
+    for spec in w.queries().filter_map(|(q, _)| mv_index(q)) {
+        if !cfg.contains(&spec) {
+            let size = opt.estimate_uncompressed_size(&spec).compressed(0.5);
+            cfg.add(PhysicalStructure { spec, size });
+        }
+    }
+    cfg
+}
+
+/// The measured MV-maintenance number `MeasuredRun` now reports must
+/// agree with what the store actually charged for the same workload —
+/// the report is a *view* of the served run, not a separate model.
+#[test]
+fn measured_report_mv_cost_matches_served_totals() {
+    let gen = cadb_datagen::TpchGen::new(0.01);
+    let db = gen.build().unwrap();
+    let w = gen.workload(&db).unwrap();
+    let cfg = mv_rich_config(&db, &w);
+    let report = MeasuredRun::new(&db, &w).execute(&cfg).unwrap();
+    let measured = report.mv_maintenance_cost.expect("workload writes");
+    let expected: f64 = report
+        .writes
+        .iter()
+        .map(|wr| wr.weight * wr.measured_mv_cost)
+        .sum();
+    assert_eq!(measured.to_bits(), expected.to_bits());
+    let whatif = report.mv_maintenance_whatif.expect("workload inserts");
+    assert!(whatif.is_finite());
 }

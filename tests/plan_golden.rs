@@ -22,17 +22,18 @@
 //! CADB_UPDATE_PLAN_GOLDEN=1 cargo test --test plan_golden
 //! ```
 
+mod common;
+
 use cadb::common::ColumnId;
 use cadb::compression::CompressionKind;
 use cadb::datagen::TpchGen;
 use cadb::engine::access_path::needed_columns;
-use cadb::engine::stmt::ScalarExpr;
 use cadb::engine::{
-    Configuration, Database, IndexSpec, MvSpec, PhysicalStructure, Query, WhatIfOptimizer, Workload,
+    Configuration, Database, IndexSpec, PhysicalStructure, Query, WhatIfOptimizer, Workload,
 };
 use cadb::exec::{plan_query, MaterializedConfig, QueryPlan};
-use cadb::sql::AggFunc;
 use cadb::TuningSession;
+use common::mv_index;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -85,49 +86,6 @@ fn covering_index(q: &Query) -> Option<IndexSpec> {
             .with_includes(includes)
             .with_compression(CompressionKind::Row),
     )
-}
-
-fn mv_index(q: &Query) -> Option<IndexSpec> {
-    let on_groups = q
-        .predicates
-        .iter()
-        .all(|p| q.group_by.contains(&(p.table, p.column)));
-    let answerable = q.aggregates.iter().all(|a| {
-        matches!(
-            (&a.func, &a.expr),
-            (AggFunc::Count, None) | (AggFunc::Sum, Some(ScalarExpr::Column(..)))
-        )
-    });
-    if q.group_by.is_empty() || !on_groups || !answerable {
-        return None;
-    }
-    let mut agg_columns: Vec<_> = q
-        .aggregates
-        .iter()
-        .flat_map(|a| a.columns.iter().copied())
-        .filter(|tc| !q.group_by.contains(tc))
-        .collect();
-    agg_columns.sort_unstable();
-    agg_columns.dedup();
-    let mut joins = q.joins.clone();
-    joins.sort_unstable();
-    let mv = MvSpec {
-        root: q.root,
-        joins,
-        group_by: q.group_by.clone(),
-        agg_columns,
-    };
-    let n_stored = mv.stored_columns() as u16;
-    let n_key = (q.group_by.len() as u16).min(n_stored);
-    Some(IndexSpec {
-        table: q.root,
-        key_cols: (0..n_key).map(ColumnId).collect(),
-        include_cols: (n_key..n_stored).map(ColumnId).collect(),
-        clustered: false,
-        compression: CompressionKind::None,
-        partial_filter: None,
-        mv: Some(mv),
-    })
 }
 
 /// `table:kind:index` per path (MV plans: the one MV path), `; `-joined.
