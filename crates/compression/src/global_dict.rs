@@ -99,8 +99,8 @@ pub fn encode(values: &[Vec<u8>], dict: &GlobalDictionary) -> Result<Vec<u8>> {
 }
 
 /// Decode a page's column block into raw dictionary ids, **without**
-/// touching the dictionary — vectorized executors evaluate a predicate
-/// once per distinct id and then test each row by its code.
+/// touching the dictionary; `page::decode_column` builds on it, so an
+/// entry is copied once however many rows use it.
 pub fn decode_ids(block: &[u8]) -> Result<Vec<u32>> {
     let mut pos = 0usize;
     let n = read_u16(block, &mut pos)? as usize;
@@ -121,22 +121,16 @@ pub fn decode_ids(block: &[u8]) -> Result<Vec<u32>> {
     Ok(out)
 }
 
-/// Decode a page's column block using the global dictionary.
-pub fn decode(block: &[u8], dict: &GlobalDictionary) -> Result<Vec<Vec<u8>>> {
-    decode_ids(block)?
-        .into_iter()
-        .map(|id| {
-            dict.entry(id)
-                .map(|e| e.to_vec())
-                .ok_or_else(|| CadbError::Storage(format!("gdict id {id} out of range")))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::tag;
+    use crate::page::tests::decode_bytes;
     use proptest::prelude::*;
+
+    fn decode(block: &[u8], dict: &GlobalDictionary, n: usize) -> Result<Vec<Vec<u8>>> {
+        decode_bytes(block, tag::GDICT, Some(std::slice::from_ref(dict)), n)
+    }
 
     #[test]
     fn build_and_round_trip() {
@@ -147,7 +141,7 @@ mod tests {
         let dict = GlobalDictionary::build(vals.iter().map(|v| v.as_slice()));
         assert_eq!(dict.len(), 2);
         let block = encode(&vals, &dict).unwrap();
-        assert_eq!(decode(&block, &dict).unwrap(), vals);
+        assert_eq!(decode(&block, &dict, vals.len()).unwrap(), vals);
         // 4 values × 1-byte ids + 3-byte header.
         assert_eq!(block.len(), 7);
     }
@@ -208,7 +202,7 @@ mod tests {
             proptest::collection::vec(any::<u8>(), 0..12), 0..120)) {
             let dict = GlobalDictionary::build(vals.iter().map(|v| v.as_slice()));
             let block = encode(&vals, &dict).unwrap();
-            prop_assert_eq!(decode(&block, &dict).unwrap(), vals);
+            prop_assert_eq!(decode(&block, &dict, vals.len()).unwrap(), vals);
         }
     }
 }

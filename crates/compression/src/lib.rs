@@ -15,6 +15,7 @@
 //! of values, so compressed sizes in the rest of the workspace are measured,
 //! not assumed — the compression-fraction distributions that the paper's
 //! estimators (SampleCF, deductions) have to cope with arise organically.
+//! Every column block is read by one parser, [`decode_column`].
 //!
 //! The unit of compression is a *page* of rows (column-wise within the page),
 //! matching how SQL Server applies ROW/PAGE compression per 8 KiB page.
@@ -36,7 +37,7 @@ pub use analyze::{compressed_index_size, CompressionMeasurement};
 pub use global_dict::GlobalDictionary;
 pub use method::CompressionKind;
 pub use page::{
-    column_sections, decode_column_values_range, decode_page, encode_page, ColumnSection,
+    column_sections, decode_column, decode_page, encode_page, ColumnData, ColumnSection,
     EncodedPage, PageContext,
 };
 pub use patch::{append_patch, has_patch, split_patch};

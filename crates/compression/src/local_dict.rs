@@ -88,8 +88,8 @@ pub enum Token {
 }
 
 /// Decode a local-dictionary block into its `(dictionary, tokens)` parts
-/// **without** expanding tokens to values — vectorized executors evaluate a
-/// predicate once per dictionary entry and then test each row by its code.
+/// **without** expanding tokens to values; `page::decode_column` builds on
+/// it, so a dictionary entry is expanded once however many rows use it.
 pub fn decode_parts(block: &[u8]) -> Result<(Vec<Vec<u8>>, Vec<Token>)> {
     let mut pos = 0usize;
     let n_dict = read_u16(block, &mut pos)? as usize;
@@ -117,33 +117,32 @@ pub fn decode_parts(block: &[u8]) -> Result<(Vec<Vec<u8>>, Vec<Token>)> {
     Ok((dict, tokens))
 }
 
-/// Decode a local-dictionary block.
-pub fn decode(block: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let (dict, tokens) = decode_parts(block)?;
-    Ok(tokens
-        .into_iter()
-        .map(|t| match t {
-            Token::Code(c) => dict[c as usize].clone(),
-            Token::Literal(v) => v,
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::tag;
+    use crate::page::tests::decode_bytes;
+    use crate::prefix::encode_one;
     use proptest::prelude::*;
 
     fn bytes(s: &str) -> Vec<u8> {
         s.as_bytes().to_vec()
     }
 
+    /// Round trip through the page decoder: a PAGE block with an empty
+    /// anchor, so every value is prefix-encoded as `[0][bytes]`.
+    fn round_trip(vals: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let prefixed: Vec<Vec<u8>> = vals.iter().map(|v| encode_one(&[], v)).collect();
+        let mut block = 0u16.to_le_bytes().to_vec();
+        block.extend(encode(&prefixed));
+        decode_bytes(&block, tag::PAGE, None, vals.len()).unwrap()
+    }
+
     #[test]
     fn paper_example_round_trip() {
         // Page {AA, BB, BB, AA} → dictionary {AA, BB} + tokens (§2.1).
         let vals = vec![bytes("AA"), bytes("BB"), bytes("BB"), bytes("AA")];
-        let block = encode(&vals);
-        assert_eq!(decode(&block).unwrap(), vals);
+        assert_eq!(round_trip(&vals), vals);
     }
 
     #[test]
@@ -153,7 +152,7 @@ mod tests {
         let block = encode(&vals);
         let plain: usize = vals.iter().map(|x| x.len()).sum();
         assert!(block.len() < plain / 5);
-        assert_eq!(decode(&block).unwrap(), vals);
+        assert_eq!(round_trip(&vals), vals);
     }
 
     #[test]
@@ -162,7 +161,7 @@ mod tests {
         let block = encode(&vals);
         // No value repeats, so the dictionary must be empty.
         assert_eq!(u16::from_le_bytes([block[0], block[1]]), 0);
-        assert_eq!(decode(&block).unwrap(), vals);
+        assert_eq!(round_trip(&vals), vals);
     }
 
     #[test]
@@ -171,12 +170,12 @@ mod tests {
         let vals = vec![bytes("x"), bytes("x")];
         let block = encode(&vals);
         assert_eq!(u16::from_le_bytes([block[0], block[1]]), 0);
-        assert_eq!(decode(&block).unwrap(), vals);
+        assert_eq!(round_trip(&vals), vals);
     }
 
     #[test]
     fn empty_input() {
-        assert!(decode(&encode(&[])).unwrap().is_empty());
+        assert!(round_trip(&[]).is_empty());
     }
 
     #[test]
@@ -205,15 +204,14 @@ mod tests {
         let tok_pos = block.len() - 8 * 2;
         block[tok_pos] = 0x42;
         block[tok_pos + 1] = 0x00;
-        assert!(decode(&block).is_err());
+        assert!(decode_parts(&block).is_err());
     }
 
     proptest! {
         #[test]
         fn prop_round_trip(vals in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..24), 0..80)) {
-            let block = encode(&vals);
-            prop_assert_eq!(decode(&block).unwrap(), vals);
+            prop_assert_eq!(round_trip(&vals), vals);
         }
 
         #[test]

@@ -14,14 +14,25 @@
 //! ROW (NULL-suppression) encoding when dictionary ids would be larger than
 //! the suppressed values — mirroring how real engines apply dictionary
 //! encoding only where it pays.
+//!
+//! There is one encoder per column block (`encode_column`) and one parser,
+//! [`decode_column`]: it is the only code that reads a block by its
+//! [`tag`], and it returns [`ColumnData`] — the values in the shape the
+//! codec stored them (plain, runs, dictionary + codes), each distinct value
+//! decoded once. Every reader is built on it: [`decode_page`],
+//! [`decode_column_values`], the B+Tree's boundary-key probe and the
+//! executor's column vectors.
 
 use crate::bytesrepr::{append_value_bytes, value_from_bytes, value_width};
 use crate::global_dict::{self, GlobalDictionary};
+use crate::local_dict::{self, Token};
 use crate::method::CompressionKind;
 use crate::null_suppress;
 use crate::prefix::{self, read_slice, read_u16, read_u32};
-use crate::{local_dict, rle};
+use crate::rle;
 use cadb_common::{CadbError, DataType, Result, Row, Value};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Per-row header bytes in the uncompressed accounting (slot + status).
 pub const ROW_HEADER_BYTES: usize = 4;
@@ -61,9 +72,8 @@ impl EncodedPage {
 }
 
 /// Column encoding tags, stored per column in the page. Public so that
-/// executors operating directly on encoded pages (see `cadb-exec`) can
-/// dispatch on the physical encoding each column actually used — which may
-/// differ from the page's [`CompressionKind`] (e.g. the GDICT → NS
+/// callers can see the physical encoding each column actually used — which
+/// may differ from the page's [`CompressionKind`] (e.g. the GDICT → NS
 /// fallback).
 pub mod tag {
     /// Raw canonical value bytes, back to back.
@@ -134,7 +144,7 @@ pub fn column_sections(bytes: &[u8]) -> Result<(usize, Vec<ColumnSection<'_>>)> 
 /// Split a [`tag::PAGE`] column block into its `(anchor, local-dict block)`
 /// parts. Each dictionary entry / literal in the sub-block is a
 /// prefix-encoded, NULL-suppressed value against the anchor.
-pub fn split_page_block(block: &[u8]) -> Result<(&[u8], &[u8])> {
+fn split_page_block(block: &[u8]) -> Result<(&[u8], &[u8])> {
     let mut pos = 0usize;
     let anchor_len = read_u16(block, &mut pos)? as usize;
     let anchor = read_slice(block, &mut pos, anchor_len)?;
@@ -282,22 +292,22 @@ pub fn decode_page(bytes: &[u8], ctx: &PageContext<'_>) -> Result<Vec<Row>> {
     let mut columns: Vec<Vec<Value>> = Vec::with_capacity(sections.len());
     for (c, (sec, dtype)) in sections.iter().zip(ctx.dtypes).enumerate() {
         let n_non_null = sec.n_non_null(n);
-        let canon = decode_column_values(sec.block, sec.tag, dtype, ctx, c, n_non_null)?;
-        if canon.len() != n_non_null {
-            return Err(CadbError::Storage(format!(
-                "column {c}: decoded {} values, expected {n_non_null}",
-                canon.len()
-            )));
-        }
-        let mut vals = Vec::with_capacity(n);
-        let mut it = canon.into_iter();
-        for i in 0..n {
-            if sec.is_null(i) {
-                vals.push(Value::Null);
-            } else {
-                let b = it.next().expect("counted above");
-                vals.push(value_from_bytes(&b, dtype)?);
-            }
+        let to_value = |b: Vec<u8>| value_from_bytes(&b, dtype);
+        let values = decode_column(
+            sec.block,
+            sec.tag,
+            dtype,
+            ctx,
+            c,
+            n_non_null,
+            0..n_non_null,
+            to_value,
+        )?
+        .expand()?;
+        // One value per non-null row, which `decode_column` guarantees.
+        let mut vals = vec![Value::Null; n];
+        for (i, v) in (0..n).filter(|&i| !sec.is_null(i)).zip(values) {
+            vals[i] = v;
         }
         columns.push(vals);
     }
@@ -315,8 +325,8 @@ pub fn decode_page(bytes: &[u8], ctx: &PageContext<'_>) -> Result<Vec<Row>> {
 }
 
 /// Decode one column block back into the canonical bytes of its non-null
-/// values. `used_tag` is the section's actual encoding (a [`tag`]
-/// constant), `col` the column ordinal (needed for GDICT dictionaries).
+/// values: [`decode_column`] over the whole block, one byte string per
+/// value.
 pub fn decode_column_values(
     block: &[u8],
     used_tag: u8,
@@ -325,204 +335,261 @@ pub fn decode_column_values(
     col: usize,
     n_non_null: usize,
 ) -> Result<Vec<Vec<u8>>> {
-    match used_tag {
-        tag::PLAIN => decode_plain_block(block, dtype, n_non_null),
-        tag::NS => {
-            let mut pos = 0usize;
-            let mut out = Vec::with_capacity(n_non_null);
-            for _ in 0..n_non_null {
-                let len = read_u16(block, &mut pos)? as usize;
-                let s = read_slice(block, &mut pos, len)?;
-                out.push(null_suppress::expand(s, dtype));
+    decode_column(
+        block,
+        used_tag,
+        dtype,
+        ctx,
+        col,
+        n_non_null,
+        0..n_non_null,
+        Ok,
+    )?
+    .expand()
+}
+
+/// One column block decoded by [`decode_column`]: its non-null values in
+/// the shape the codec stored them, each distinct value decoded once —
+/// canonical bytes by default, or whatever the decode mapped them to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ColumnData<T = Vec<u8>> {
+    /// One value per position (PLAIN and NS blocks).
+    Plain(Vec<T>),
+    /// `(run_len, value)` runs over the positions (RLE blocks).
+    Runs(Vec<(usize, T)>),
+    /// Dictionary entries plus one code per position (PAGE and GDICT
+    /// blocks). PAGE lists the page-dictionary entries the positions use in
+    /// block order (on a full decode, the whole page dictionary), then one
+    /// entry per inline literal in position order; GDICT lists the
+    /// index-wide entries the positions use, in first-use order.
+    Dict {
+        /// Decoded dictionary entries.
+        entries: Vec<T>,
+        /// Per-position indexes into `entries`.
+        codes: Vec<u32>,
+    },
+}
+
+impl<T: Clone> ColumnData<T> {
+    /// Number of positions held.
+    fn len(&self) -> usize {
+        match self {
+            ColumnData::Plain(vals) => vals.len(),
+            ColumnData::Runs(runs) => runs.iter().map(|(n, _)| n).sum(),
+            ColumnData::Dict { codes, .. } => codes.len(),
+        }
+    }
+
+    /// One value per position, in order: runs repeat and dictionary codes
+    /// resolve as clones.
+    pub fn expand(self) -> Result<Vec<T>> {
+        match self {
+            ColumnData::Plain(vals) => Ok(vals),
+            ColumnData::Runs(runs) => {
+                let mut out = Vec::with_capacity(runs.iter().map(|(n, _)| n).sum());
+                for (n, v) in runs {
+                    out.extend(std::iter::repeat_n(v, n));
+                }
+                Ok(out)
             }
-            Ok(out)
-        }
-        tag::PAGE => {
-            let (anchor, dict_block) = split_page_block(block)?;
-            let prefixed = local_dict::decode(dict_block)?;
-            prefixed
+            ColumnData::Dict { entries, codes } => codes
                 .iter()
-                .map(|enc| {
-                    let ns = prefix::decode_one(anchor, enc)?;
-                    Ok(null_suppress::expand(&ns, dtype))
+                .map(|&c| {
+                    entries.get(c as usize).cloned().ok_or_else(|| {
+                        CadbError::Storage(format!("dictionary code {c} out of range"))
+                    })
                 })
-                .collect()
+                .collect(),
         }
-        tag::GDICT => {
-            let dicts = ctx.global_dicts.ok_or_else(|| {
-                CadbError::InvalidArgument("decoding GDICT page requires dictionaries".into())
-            })?;
-            let dict = dicts
-                .get(col)
-                .ok_or_else(|| CadbError::Storage(format!("no dictionary for column {col}")))?;
-            global_dict::decode(block, dict)
-        }
-        tag::RLE => {
-            let ns = rle::decode(block)?;
-            Ok(ns.iter().map(|s| null_suppress::expand(s, dtype)).collect())
-        }
-        other => Err(CadbError::Storage(format!("unknown column tag {other}"))),
     }
 }
 
-/// Bounded (range) decode of one column block: the canonical bytes of only
-/// the non-null values at positions `range` of the column's value stream,
-/// without materializing the values outside it.
+/// Decode one column block — the only parser of the codecs' block formats.
 ///
-/// This is the decode primitive behind key-range scans: an executor that
-/// has already located the leaf rows it cares about (e.g. the boundary
-/// leaves of a B+Tree seek) can decode just those positions. How much work
-/// is skipped depends on the codec — fixed-width PLAIN blocks slice
-/// directly, RLE skips whole runs without expanding them, dictionary
-/// codecs (PAGE / GDICT) decode only the dictionary entries the requested
-/// codes reference — while variable-width streams (NS, VARCHAR PLAIN)
-/// still walk length prefixes up to `range.end` but skip value expansion
-/// outside the range.
-pub fn decode_column_values_range(
+/// `used_tag` is the section's actual encoding (a [`tag`] constant), `col`
+/// the column ordinal (it picks the GDICT dictionary) and `n_non_null` the
+/// number of non-NULL rows in the section's bitmap. `value` maps each
+/// distinct value's canonical bytes as soon as they are decoded (`Ok` keeps
+/// the bytes), so nothing is materialized twice. Only the non-null
+/// positions in `range` (clamped to `0..n_non_null`) are materialized; a
+/// full decode is `0..n_non_null`. Fixed-width PLAIN slices straight to the
+/// range, RLE clips runs to it without expanding them, PAGE and GDICT
+/// expand only the dictionary entries it references, and the
+/// length-prefixed NS and VARCHAR PLAIN streams are walked up to its end.
+///
+/// A block that claims more values than `n_non_null` fails before any of
+/// them is expanded; an `Ok` holds exactly the positions of `range`.
+#[allow(clippy::too_many_arguments)] // the block's coordinates, range and value mapping
+pub fn decode_column<T: Clone>(
     block: &[u8],
     used_tag: u8,
     dtype: &DataType,
     ctx: &PageContext<'_>,
     col: usize,
     n_non_null: usize,
-    range: std::ops::Range<usize>,
-) -> Result<Vec<Vec<u8>>> {
-    let lo = range.start.min(n_non_null);
+    range: Range<usize>,
+    mut value: impl FnMut(Vec<u8>) -> Result<T>,
+) -> Result<ColumnData<T>> {
     let hi = range.end.min(n_non_null);
-    if lo >= hi {
-        return Ok(Vec::new());
-    }
-    match used_tag {
-        tag::PLAIN => {
-            if matches!(dtype, DataType::Varchar { .. }) {
-                // Variable width: walk the length prefixes, expand in range.
-                let mut pos = 0usize;
-                let mut out = Vec::with_capacity(hi - lo);
-                for i in 0..hi {
-                    let len = read_u16(block, &mut pos)? as usize;
-                    pos -= 2;
-                    let s = read_slice(block, &mut pos, len + 2)?;
-                    if i >= lo {
-                        out.push(s.to_vec());
-                    }
-                }
-                Ok(out)
-            } else {
-                let w = dtype.fixed_width();
-                let mut pos = lo * w;
-                let mut out = Vec::with_capacity(hi - lo);
-                for _ in lo..hi {
-                    out.push(read_slice(block, &mut pos, w)?.to_vec());
-                }
-                Ok(out)
+    let lo = range.start.min(hi);
+    let data = match used_tag {
+        tag::PLAIN if !matches!(dtype, DataType::Varchar { .. }) => {
+            let w = dtype.fixed_width();
+            let mut pos = lo * w;
+            let mut out = Vec::with_capacity(hi - lo);
+            for _ in lo..hi {
+                out.push(value(read_slice(block, &mut pos, w)?.to_vec())?);
             }
+            ColumnData::Plain(out)
         }
-        tag::NS => {
+        tag::PLAIN | tag::NS => {
+            // Length-prefixed streams: a VARCHAR's canonical bytes keep
+            // the prefix, NS values are re-expanded.
             let mut pos = 0usize;
             let mut out = Vec::with_capacity(hi - lo);
             for i in 0..hi {
+                let start = pos;
                 let len = read_u16(block, &mut pos)? as usize;
                 let s = read_slice(block, &mut pos, len)?;
                 if i >= lo {
-                    out.push(crate::null_suppress::expand(s, dtype));
+                    out.push(value(if used_tag == tag::NS {
+                        null_suppress::expand(s, dtype)
+                    } else {
+                        block[start..pos].to_vec()
+                    })?);
                 }
             }
-            Ok(out)
+            ColumnData::Plain(out)
+        }
+        tag::RLE => {
+            let mut seen = 0usize;
+            let mut runs = Vec::new();
+            for run in rle::runs(block)? {
+                let (len, ns) = run?;
+                let start = seen;
+                seen += len;
+                check_count("RLE runs", seen, n_non_null)?;
+                let take = seen.min(hi).saturating_sub(start.max(lo));
+                if take > 0 {
+                    runs.push((take, value(null_suppress::expand(ns, dtype))?));
+                }
+            }
+            ColumnData::Runs(runs)
         }
         tag::PAGE => {
             let (anchor, dict_block) = split_page_block(block)?;
-            let (raw_dict, tokens) = local_dict::decode_parts(dict_block)?;
-            // Decode dictionary entries lazily: only slots the requested
-            // token range references are prefix-expanded.
-            let mut decoded: Vec<Option<Vec<u8>>> = vec![None; raw_dict.len()];
-            let mut out = Vec::with_capacity(hi - lo);
-            for t in tokens.into_iter().take(hi).skip(lo) {
-                let enc = match t {
-                    local_dict::Token::Code(c) => {
-                        let c = c as usize;
-                        if decoded[c].is_none() {
-                            let ns = prefix::decode_one(anchor, &raw_dict[c])?;
-                            decoded[c] = Some(crate::null_suppress::expand(&ns, dtype));
-                        }
-                        decoded[c].clone().expect("filled above")
-                    }
-                    local_dict::Token::Literal(enc) => {
-                        let ns = prefix::decode_one(anchor, &enc)?;
-                        crate::null_suppress::expand(&ns, dtype)
-                    }
-                };
-                out.push(enc);
+            let (raw, tokens) = local_dict::decode_parts(dict_block)?;
+            check_count("PAGE tokens", tokens.len(), n_non_null)?;
+            let expand = |enc: &[u8]| -> Result<Vec<u8>> {
+                Ok(null_suppress::expand(
+                    &prefix::decode_one(anchor, enc)?,
+                    dtype,
+                ))
+            };
+            // Slots: the page-dictionary entries the range uses, in block
+            // order, then one per inline literal. A full decode uses every
+            // entry, since the encoder admits only values that repeat.
+            const UNUSED: u32 = u32::MAX;
+            let mut slot_of = vec![UNUSED; raw.len()];
+            for t in tokens.iter().take(hi).skip(lo) {
+                if let Token::Code(c) = t {
+                    slot_of[*c as usize] = 0;
+                }
             }
-            Ok(out)
+            let mut entries = Vec::with_capacity(raw.len());
+            for (slot, enc) in slot_of.iter_mut().zip(&raw) {
+                if *slot != UNUSED {
+                    *slot = entries.len() as u32;
+                    entries.push(value(expand(enc)?)?);
+                }
+            }
+            let mut codes = Vec::with_capacity(hi - lo);
+            for t in tokens.into_iter().take(hi).skip(lo) {
+                codes.push(match t {
+                    Token::Code(c) => slot_of[c as usize],
+                    Token::Literal(enc) => {
+                        entries.push(value(expand(&enc)?)?);
+                        entries.len() as u32 - 1
+                    }
+                });
+            }
+            ColumnData::Dict { entries, codes }
         }
         tag::GDICT => {
-            let dicts = ctx.global_dicts.ok_or_else(|| {
-                CadbError::InvalidArgument("decoding GDICT page requires dictionaries".into())
+            let dict = ctx.global_dicts.and_then(|d| d.get(col)).ok_or_else(|| {
+                CadbError::InvalidArgument(format!(
+                    "decoding GDICT column {col} requires its global dictionary"
+                ))
             })?;
-            let dict = dicts
-                .get(col)
-                .ok_or_else(|| CadbError::Storage(format!("no dictionary for column {col}")))?;
             let ids = global_dict::decode_ids(block)?;
-            ids.into_iter()
-                .take(hi)
-                .skip(lo)
-                .map(|id| {
-                    dict.entry(id)
-                        .map(<[u8]>::to_vec)
-                        .ok_or_else(|| CadbError::Storage(format!("gdict id {id} out of range")))
-                })
-                .collect()
-        }
-        tag::RLE => {
-            // Skip whole runs before the range without expanding them.
-            let mut seen = 0usize;
-            let mut out = Vec::with_capacity(hi - lo);
-            for run in rle::runs(block)? {
-                let (len, ns) = run?;
-                let run_lo = seen;
-                seen += len;
-                if seen <= lo {
-                    continue;
-                }
-                let v = crate::null_suppress::expand(ns, dtype);
-                let take = seen.min(hi) - run_lo.max(lo);
-                out.extend(std::iter::repeat_n(v, take));
-                if seen >= hi {
-                    break;
-                }
+            check_count("GDICT ids", ids.len(), n_non_null)?;
+            // Index-wide ids map onto dense slots in first-use order, so the
+            // work is proportional to the page, not to the dictionary.
+            let mut slot_of: HashMap<u32, u32> = HashMap::new();
+            let mut entries = Vec::new();
+            let mut codes = Vec::with_capacity(hi - lo);
+            for &id in ids.get(lo..hi).unwrap_or_default() {
+                let code = match slot_of.get(&id) {
+                    Some(&s) => s,
+                    None => {
+                        let entry = dict.entry(id).ok_or_else(|| {
+                            CadbError::Storage(format!("gdict id {id} out of range"))
+                        })?;
+                        let s = entries.len() as u32;
+                        entries.push(value(entry.to_vec())?);
+                        slot_of.insert(id, s);
+                        s
+                    }
+                };
+                codes.push(code);
             }
-            Ok(out)
+            ColumnData::Dict { entries, codes }
         }
-        other => Err(CadbError::Storage(format!("unknown column tag {other}"))),
+        other => return Err(CadbError::Storage(format!("unknown column tag {other}"))),
+    };
+    if data.len() != hi - lo {
+        return Err(CadbError::Storage(format!(
+            "column {col}: decoded {} values, expected {}",
+            data.len(),
+            hi - lo
+        )));
     }
+    Ok(data)
 }
 
-fn decode_plain_block(block: &[u8], dtype: &DataType, n: usize) -> Result<Vec<Vec<u8>>> {
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 0usize;
-    match dtype {
-        DataType::Varchar { .. } => {
-            for _ in 0..n {
-                let len = read_u16(block, &mut pos)? as usize;
-                pos -= 2; // value_from_bytes expects the length prefix too
-                let s = read_slice(block, &mut pos, len + 2)?;
-                out.push(s.to_vec());
-            }
-        }
-        _ => {
-            let w = dtype.fixed_width();
-            for _ in 0..n {
-                out.push(read_slice(block, &mut pos, w)?.to_vec());
-            }
-        }
+/// A block that claims more values than its column has non-null rows is
+/// corrupt; checked before the values are expanded.
+fn check_count(what: &str, count: usize, n_non_null: usize) -> Result<()> {
+    if count > n_non_null {
+        return Err(CadbError::Storage(format!(
+            "{what} hold {count} values, the null bitmap only {n_non_null}"
+        )));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cadb_common::Value;
+
+    /// Decode a bare codec block of `n` values through [`decode_column`]
+    /// as a VARCHAR column, for which NULL suppression is the identity:
+    /// how the codec modules' tests round-trip arbitrary byte strings.
+    pub(crate) fn decode_bytes(
+        block: &[u8],
+        used_tag: u8,
+        dicts: Option<&[GlobalDictionary]>,
+        n: usize,
+    ) -> Result<Vec<Vec<u8>>> {
+        let ctx = PageContext {
+            dtypes: &[],
+            kind: CompressionKind::None,
+            global_dicts: dicts,
+        };
+        let varchar = DataType::Varchar { max_len: u16::MAX };
+        decode_column(block, used_tag, &varchar, &ctx, 0, n, 0..n, Ok)?.expand()
+    }
 
     fn dtypes() -> Vec<DataType> {
         vec![
@@ -681,33 +748,82 @@ mod tests {
             let (n, sections) = column_sections(&page.bytes).unwrap();
             for (c, sec) in sections.iter().enumerate() {
                 let n_nn = sec.n_non_null(n);
-                let full = decode_column_values(sec.block, sec.tag, &d[c], &ctx, c, n_nn).unwrap();
+                let decode = |range: Range<usize>| {
+                    decode_column(sec.block, sec.tag, &d[c], &ctx, c, n_nn, range, Ok)
+                        .unwrap()
+                        .expand()
+                        .unwrap()
+                };
+                let full = decode(0..n_nn);
+                assert_eq!(
+                    full,
+                    decode_column_values(sec.block, sec.tag, &d[c], &ctx, c, n_nn).unwrap()
+                );
                 for range in [0..0, 0..1, 0..n_nn, 3..17, n_nn.saturating_sub(1)..n_nn] {
-                    let part = decode_column_values_range(
-                        sec.block,
-                        sec.tag,
-                        &d[c],
-                        &ctx,
-                        c,
-                        n_nn,
-                        range.clone(),
-                    )
-                    .unwrap();
-                    assert_eq!(part, full[range.clone()], "{kind} col {c} {range:?}");
+                    assert_eq!(
+                        decode(range.clone()),
+                        full[range.clone()],
+                        "{kind} col {c} {range:?}"
+                    );
                 }
                 // Out-of-bounds ranges clamp instead of erroring.
-                let over = decode_column_values_range(
-                    sec.block,
-                    sec.tag,
-                    &d[c],
-                    &ctx,
-                    c,
-                    n_nn,
-                    n_nn..n_nn + 10,
-                )
-                .unwrap();
-                assert!(over.is_empty(), "{kind} col {c}");
+                assert!(decode(n_nn..n_nn + 10).is_empty(), "{kind} col {c}");
             }
+        }
+    }
+
+    #[test]
+    fn range_decode_expands_only_the_dictionary_entries_it_uses() {
+        let d = dtypes();
+        let rs = rows(200);
+        let ctx = PageContext {
+            dtypes: &d,
+            kind: CompressionKind::Page,
+            global_dicts: None,
+        };
+        let page = encode_page(&rs, &ctx).unwrap();
+        let (n, sections) = column_sections(&page.bytes).unwrap();
+        // Column 1 cycles through four strings, all in the page dictionary.
+        let sec = &sections[1];
+        let full = decode_column(sec.block, sec.tag, &d[1], &ctx, 1, n, 0..n, Ok).unwrap();
+        let last = decode_column(sec.block, sec.tag, &d[1], &ctx, 1, n, n - 1..n, Ok).unwrap();
+        match (full, last) {
+            (
+                ColumnData::Dict { entries, codes },
+                ColumnData::Dict {
+                    entries: last_entries,
+                    codes: last_codes,
+                },
+            ) => {
+                assert_eq!(entries.len(), 4);
+                assert_eq!(codes.len(), n);
+                assert_eq!(last_codes, vec![0]);
+                assert_eq!(last_entries, vec![entries[codes[n - 1] as usize].clone()]);
+            }
+            other => panic!("PAGE column decoded as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rle_runs_past_the_bitmap_are_rejected_before_expanding() {
+        let d = vec![DataType::Int];
+        let ctx = PageContext {
+            dtypes: &d,
+            kind: CompressionKind::Rle,
+            global_dicts: None,
+        };
+        let rs: Vec<Row> = (0..4).map(|_| Row::new(vec![Value::Int(7)])).collect();
+        let mut bytes = encode_page(&rs, &ctx).unwrap().bytes;
+        // Page header (4) + tag (1) + bitmap (1) + block length (4), then
+        // the block: [n_runs: u16][run_len: u16]... Claim 65 535 rows.
+        let at = 4 + 1 + 1 + 4 + 2;
+        assert_eq!(bytes[at..at + 2], 4u16.to_le_bytes());
+        bytes[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(decode_page(&bytes, &ctx).is_err());
+        let (n, sections) = column_sections(&bytes).unwrap();
+        let sec = &sections[0];
+        for range in [0..n, n - 1..n] {
+            assert!(decode_column(sec.block, sec.tag, &d[0], &ctx, 0, n, range, Ok).is_err());
         }
     }
 

@@ -6,12 +6,9 @@
 //! page as the anchor — on sorted index pages values cluster, so the median
 //! maximizes total shared prefix without an O(n²) search.
 //!
-//! Block layout:
-//! ```text
-//! [anchor_len: u16][anchor bytes]
-//! [n: u16]
-//! n × ( [match_len: u8][suffix_len: u16][suffix bytes] )
-//! ```
+//! One value against the anchor is `[match_len: u8][suffix bytes]`. The
+//! PAGE block stores the anchor once, ahead of its page-local dictionary
+//! (see `page`).
 
 use cadb_common::{CadbError, Result};
 
@@ -52,49 +49,6 @@ pub fn decode_one(anchor: &[u8], enc: &[u8]) -> Result<Vec<u8>> {
     Ok(v)
 }
 
-/// Encode a set of byte-strings with prefix suppression against an anchor.
-pub fn encode(values: &[Vec<u8>]) -> Vec<u8> {
-    let anchor = choose_anchor(values);
-    let mut out = Vec::with_capacity(anchor.len() + 4 + values.len() * 3);
-    out.extend_from_slice(&(anchor.len() as u16).to_le_bytes());
-    out.extend_from_slice(&anchor);
-    out.extend_from_slice(&(values.len() as u16).to_le_bytes());
-    for v in values {
-        let enc = encode_one(&anchor, v);
-        let suffix_len = enc.len() - 1;
-        out.push(enc[0]);
-        out.extend_from_slice(&(suffix_len as u16).to_le_bytes());
-        out.extend_from_slice(&enc[1..]);
-    }
-    out
-}
-
-/// Decode a prefix-suppressed block back into the original byte-strings.
-pub fn decode(block: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let mut pos = 0usize;
-    let anchor_len = read_u16(block, &mut pos)? as usize;
-    let anchor = read_slice(block, &mut pos, anchor_len)?.to_vec();
-    let n = read_u16(block, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = *block
-            .get(pos)
-            .ok_or_else(|| CadbError::Storage("prefix block truncated".into()))?
-            as usize;
-        pos += 1;
-        let suffix_len = read_u16(block, &mut pos)? as usize;
-        let suffix = read_slice(block, &mut pos, suffix_len)?;
-        if m > anchor.len() {
-            return Err(CadbError::Storage("prefix match exceeds anchor".into()));
-        }
-        let mut v = Vec::with_capacity(m + suffix.len());
-        v.extend_from_slice(&anchor[..m]);
-        v.extend_from_slice(suffix);
-        out.push(v);
-    }
-    Ok(out)
-}
-
 fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
@@ -128,59 +82,72 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn round_trip(vals: &[Vec<u8>]) -> usize {
+        let anchor = choose_anchor(vals);
+        let mut encoded = 0;
+        for v in vals {
+            let enc = encode_one(&anchor, v);
+            assert_eq!(&decode_one(&anchor, &enc).unwrap(), v);
+            encoded += enc.len();
+        }
+        encoded
+    }
+
     #[test]
     fn round_trip_shared_prefixes() {
         let vals: Vec<Vec<u8>> = ["aaabc", "aaacd", "aaade", "aaabc"]
             .iter()
             .map(|s| s.as_bytes().to_vec())
             .collect();
-        let block = encode(&vals);
-        assert_eq!(decode(&block).unwrap(), vals);
-        // The paper's example: {aaabc, aaacd, aaade} share "aaa"; with the
-        // anchor we should beat the plain concatenation (20 bytes payload).
-        let plain: usize = vals.iter().map(|v| v.len() + 3).sum::<usize>() + 4;
-        assert!(block.len() < plain);
+        // The paper's example: {aaabc, aaacd, aaade} share "aaa", so each
+        // value stores one match byte plus at most a two-byte suffix.
+        assert!(round_trip(&vals) <= 3 * vals.len());
     }
 
     #[test]
-    fn empty_input() {
-        let block = encode(&[]);
-        assert!(decode(&block).unwrap().is_empty());
-    }
-
-    #[test]
-    fn disjoint_values_still_round_trip() {
+    fn disjoint_and_empty_values_still_round_trip() {
         let vals: Vec<Vec<u8>> = vec![b"xyz".to_vec(), b"abc".to_vec(), vec![], b"q".to_vec()];
-        let block = encode(&vals);
-        assert_eq!(decode(&block).unwrap(), vals);
+        round_trip(&vals);
+        round_trip(&[]);
     }
 
     #[test]
-    fn truncated_block_errors() {
-        let vals = vec![b"hello".to_vec()];
-        let block = encode(&vals);
-        for cut in 0..block.len() {
-            assert!(decode(&block[..cut]).is_err(), "cut at {cut}");
-        }
+    fn malformed_values_error() {
+        assert!(decode_one(b"abc", &[]).is_err());
+        assert!(decode_one(b"abc", &[4, b'x']).is_err());
+        assert_eq!(decode_one(b"abc", &[3]).unwrap(), b"abc");
     }
 
     proptest! {
         #[test]
         fn prop_round_trip(vals in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..40), 0..50)) {
-            let block = encode(&vals);
-            prop_assert_eq!(decode(&block).unwrap(), vals);
+            round_trip(&vals);
+        }
+
+        #[test]
+        fn prop_decode_errors_instead_of_panicking(
+            anchor in proptest::collection::vec(any::<u8>(), 0..8),
+            enc in proptest::collection::vec(any::<u8>(), 0..12),
+        ) {
+            match decode_one(&anchor, &enc) {
+                Ok(v) => {
+                    let m = enc[0] as usize;
+                    prop_assert!(m <= anchor.len());
+                    prop_assert_eq!(&v[..m], &anchor[..m]);
+                    prop_assert_eq!(&v[m..], &enc[1..]);
+                }
+                Err(_) => prop_assert!(enc.first().is_none_or(|&m| m as usize > anchor.len())),
+            }
         }
 
         #[test]
         fn prop_identical_values_compress(v in proptest::collection::vec(any::<u8>(), 8..32),
                                           n in 4usize..40) {
+            // All-identical values: every value collapses to a full match
+            // against the anchor, one byte each.
             let vals: Vec<Vec<u8>> = (0..n).map(|_| v.clone()).collect();
-            let block = encode(&vals);
-            let plain: usize = vals.iter().map(|x| x.len()).sum();
-            // All-identical values: every value collapses to a match against
-            // the anchor, so the block must be far below plain payload.
-            prop_assert!(block.len() < plain / 2 + v.len() + 8);
+            prop_assert_eq!(round_trip(&vals), n);
         }
     }
 }

@@ -36,21 +36,8 @@ pub fn encode(values: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Decode an RLE block.
-pub fn decode(block: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let mut out = Vec::new();
-    for run in runs(block)? {
-        let (run_len, val) = run?;
-        for _ in 0..run_len {
-            out.push(val.to_vec());
-        }
-    }
-    Ok(out)
-}
-
 /// Iterate the `(run_len, value)` pairs of an RLE block **without**
-/// materializing the repeated values — the entry point vectorized
-/// executors use to pay per-run (not per-row) decode and predicate cost.
+/// materializing the repeated values; `page::decode_column` builds on it.
 pub fn runs(block: &[u8]) -> Result<RunIter<'_>> {
     let mut pos = 0usize;
     let n_runs = read_u16(block, &mut pos)? as usize;
@@ -97,17 +84,23 @@ impl<'a> Iterator for RunIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::tag;
+    use crate::page::tests::decode_bytes;
     use proptest::prelude::*;
 
     fn b(s: &str) -> Vec<u8> {
         s.as_bytes().to_vec()
     }
 
+    fn decode(block: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
+        decode_bytes(block, tag::RLE, None, n)
+    }
+
     #[test]
     fn runs_collapse() {
         let vals = vec![b("a"), b("a"), b("a"), b("b"), b("a")];
         let block = encode(&vals);
-        assert_eq!(decode(&block).unwrap(), vals);
+        assert_eq!(decode(&block, vals.len()).unwrap(), vals);
         // 3 runs: aaa, b, a.
         assert_eq!(u16::from_le_bytes([block[0], block[1]]), 3);
     }
@@ -123,7 +116,7 @@ mod tests {
         let block = encode(&vals);
         let plain: usize = vals.iter().map(|x| x.len()).sum();
         assert!(block.len() * 50 < plain, "{} vs {plain}", block.len());
-        assert_eq!(decode(&block).unwrap(), vals);
+        assert_eq!(decode(&block, vals.len()).unwrap(), vals);
     }
 
     #[test]
@@ -139,12 +132,14 @@ mod tests {
     fn long_runs_split() {
         let vals: Vec<Vec<u8>> = (0..70_000).map(|_| b("x")).collect();
         let block = encode(&vals);
-        assert_eq!(decode(&block).unwrap().len(), 70_000);
+        assert_eq!(decode(&block, 70_000).unwrap().len(), 70_000);
+        // One value short of the runs: rejected, not expanded.
+        assert!(decode(&block, 69_999).is_err());
     }
 
     #[test]
     fn empty_input() {
-        assert!(decode(&encode(&[])).unwrap().is_empty());
+        assert!(decode(&encode(&[]), 0).unwrap().is_empty());
     }
 
     #[test]
@@ -179,7 +174,7 @@ mod tests {
         #[test]
         fn prop_round_trip(vals in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..8), 0..200)) {
-            prop_assert_eq!(decode(&encode(&vals)).unwrap(), vals);
+            prop_assert_eq!(decode(&encode(&vals), vals.len()).unwrap(), vals);
         }
     }
 }

@@ -5,12 +5,16 @@
 //!
 //! These complement the in-module proptests: fixed fixtures mean a failure
 //! here points at a codec regression, not at an unlucky generated input.
+//! Every decode goes through the one block parser, `decode_column`; the
+//! corruption sweep at the end feeds it damaged pages.
 
-use cadb_common::{DataType, Row, Value};
+use cadb_common::{DataType, Result, Row, Value};
 use cadb_compression::analyze::{build_dictionaries, compressed_index_size};
 use cadb_compression::bytesrepr::value_bytes;
 use cadb_compression::global_dict::{self, GlobalDictionary};
-use cadb_compression::page::{decode_page, encode_page, PageContext};
+use cadb_compression::page::{
+    column_sections, decode_column, decode_page, encode_page, tag, ColumnData, PageContext,
+};
 use cadb_compression::{local_dict, null_suppress, prefix, rle, CompressionKind};
 
 /// Deterministic mixed-shape byte values: runs, shared prefixes, empties.
@@ -36,16 +40,45 @@ fn plain_bytes(vals: &[Vec<u8>]) -> usize {
     vals.iter().map(Vec::len).sum()
 }
 
+/// Decode a bare codec block of `n` values through
+/// `decode_column` as a VARCHAR column (NULL suppression is then the
+/// identity, so arbitrary byte strings round-trip).
+fn decode_block(
+    block: &[u8],
+    used_tag: u8,
+    dicts: Option<&[GlobalDictionary]>,
+    n: usize,
+) -> Vec<Vec<u8>> {
+    let ctx = PageContext {
+        dtypes: &[],
+        kind: CompressionKind::None,
+        global_dicts: dicts,
+    };
+    let varchar = DataType::Varchar { max_len: u16::MAX };
+    decode_column(block, used_tag, &varchar, &ctx, 0, n, 0..n, Ok)
+        .and_then(ColumnData::expand)
+        .unwrap()
+}
+
+/// A PAGE block with an empty anchor around a local-dictionary block of
+/// `vals`, each prefix-encoded as `[0][bytes]`.
+fn page_block(vals: &[Vec<u8>]) -> Vec<u8> {
+    let prefixed: Vec<Vec<u8>> = vals.iter().map(|v| prefix::encode_one(&[], v)).collect();
+    let mut block = 0u16.to_le_bytes().to_vec();
+    block.extend(local_dict::encode(&prefixed));
+    block
+}
+
 #[test]
 fn rle_round_trip_and_size() {
     let vals = fixture_values();
     let block = rle::encode(&vals);
-    assert_eq!(rle::decode(&block).unwrap(), vals);
+    assert_eq!(decode_block(&block, tag::RLE, None, vals.len()), vals);
 
     // A single long run must collapse to far below its plain payload.
     let run: Vec<Vec<u8>> = vec![b"constant".to_vec(); 500];
     let run_block = rle::encode(&run);
-    assert_eq!(rle::decode(&run_block).unwrap(), run);
+    assert_eq!(decode_block(&run_block, tag::RLE, None, run.len()), run);
     assert!(
         run_block.len() * 10 < plain_bytes(&run),
         "500-value run encoded to {} bytes vs {} plain",
@@ -57,11 +90,16 @@ fn rle_round_trip_and_size() {
 #[test]
 fn prefix_round_trip_and_size() {
     let vals = fixture_values();
-    let block = prefix::encode(&vals);
-    assert_eq!(prefix::decode(&block).unwrap(), vals);
+    let anchor = prefix::choose_anchor(&vals);
+    for v in &vals {
+        assert_eq!(
+            &prefix::decode_one(&anchor, &prefix::encode_one(&anchor, v)).unwrap(),
+            v
+        );
+    }
 
-    // All values sharing a 12-byte prefix: the encoded block must beat the
-    // plain payload even after anchor + per-value headers.
+    // All values sharing a 12-byte prefix: one match byte plus a one-byte
+    // suffix each, far below the plain payload.
     let shared: Vec<Vec<u8>> = (0..100u8)
         .map(|i| {
             let mut v = b"2011-07-SAME".to_vec();
@@ -69,12 +107,16 @@ fn prefix_round_trip_and_size() {
             v
         })
         .collect();
-    let shared_block = prefix::encode(&shared);
-    assert_eq!(prefix::decode(&shared_block).unwrap(), shared);
+    let anchor = prefix::choose_anchor(&shared);
+    let mut encoded = 0;
+    for v in &shared {
+        let enc = prefix::encode_one(&anchor, v);
+        assert_eq!(&prefix::decode_one(&anchor, &enc).unwrap(), v);
+        encoded += enc.len();
+    }
     assert!(
-        shared_block.len() < plain_bytes(&shared),
-        "shared-prefix block {} >= plain {}",
-        shared_block.len(),
+        encoded * 4 < plain_bytes(&shared),
+        "prefix-encoded {encoded} vs plain {}",
         plain_bytes(&shared)
     );
 }
@@ -111,8 +153,10 @@ fn null_suppress_round_trip_and_size() {
 #[test]
 fn local_dict_round_trip_and_size() {
     let vals = fixture_values();
-    let block = local_dict::encode(&vals);
-    assert_eq!(local_dict::decode(&block).unwrap(), vals);
+    assert_eq!(
+        decode_block(&page_block(&vals), tag::PAGE, None, vals.len()),
+        vals
+    );
 
     // 300 occurrences of 3 distinct 16-byte values: the dictionary pays for
     // itself many times over.
@@ -124,7 +168,10 @@ fn local_dict_round_trip_and_size() {
         })
         .collect();
     let dup_block = local_dict::encode(&dup);
-    assert_eq!(local_dict::decode(&dup_block).unwrap(), dup);
+    assert_eq!(
+        decode_block(&page_block(&dup), tag::PAGE, None, dup.len()),
+        dup
+    );
     assert!(
         dup_block.len() * 4 < plain_bytes(&dup),
         "dictionary block {} vs plain {}",
@@ -138,7 +185,11 @@ fn global_dict_round_trip_and_size() {
     let vals = fixture_values();
     let dict = GlobalDictionary::build(vals.iter().map(|v| v.as_slice()));
     let block = global_dict::encode(&vals, &dict).unwrap();
-    assert_eq!(global_dict::decode(&block, &dict).unwrap(), vals);
+    let dicts = [dict];
+    assert_eq!(
+        decode_block(&block, tag::GDICT, Some(&dicts), vals.len()),
+        vals
+    );
 
     // With few distinct long values, per-value ids beat the plain payload
     // (the dictionary itself is amortized across the whole index).
@@ -147,7 +198,11 @@ fn global_dict_round_trip_and_size() {
         .collect();
     let dup_dict = GlobalDictionary::build(dup.iter().map(|v| v.as_slice()));
     let dup_block = global_dict::encode(&dup, &dup_dict).unwrap();
-    assert_eq!(global_dict::decode(&dup_block, &dup_dict).unwrap(), dup);
+    let dup_dicts = [dup_dict];
+    assert_eq!(
+        decode_block(&dup_block, tag::GDICT, Some(&dup_dicts), dup.len()),
+        dup
+    );
     assert!(
         dup_block.len() * 4 < plain_bytes(&dup),
         "id stream {} vs plain {}",
@@ -260,4 +315,63 @@ fn measured_index_size_is_consistent_across_kinds() {
     let bytes_of = |k: CompressionKind| seen.iter().find(|(kk, _)| *kk == k).unwrap().1;
     assert!(bytes_of(CompressionKind::Page) < bytes_of(CompressionKind::Row));
     assert!(bytes_of(CompressionKind::Row) < bytes_of(CompressionKind::None));
+}
+
+/// Decode possibly damaged page bytes every way the readers do: the whole
+/// page, and every section through `decode_column` in full and for its
+/// last position. Returns the row count of an `Ok` page decode.
+fn decode_everything(bytes: &[u8], ctx: &PageContext<'_>) -> Result<usize> {
+    if let Ok((n, sections)) = column_sections(bytes) {
+        for (c, (sec, dtype)) in sections.iter().zip(ctx.dtypes).enumerate() {
+            let n_nn = sec.n_non_null(n);
+            for range in [0..n_nn, n_nn.saturating_sub(1)..n_nn] {
+                let _ = decode_column(sec.block, sec.tag, dtype, ctx, c, n_nn, range, Ok);
+            }
+        }
+    }
+    decode_page(bytes, ctx).map(|rows| rows.len())
+}
+
+#[test]
+fn corrupted_pages_decode_to_err_or_a_full_page_never_a_panic() {
+    // No checksum yet, so a damaged page may decode to different values;
+    // what must hold is Err-or-Ok, never a panic, and an Ok page has the
+    // row count its (possibly damaged) header states.
+    let rows = fixture_rows(40);
+    assert!(rows.iter().any(|r| r.values[1].is_null()));
+    let dtypes = fixture_dtypes();
+    let dicts = build_dictionaries(&rows, &dtypes);
+    let header_rows = |b: &[u8]| u16::from_le_bytes([b[0], b[1]]) as usize;
+    for kind in [
+        CompressionKind::None,
+        CompressionKind::Row,
+        CompressionKind::Page,
+        CompressionKind::GlobalDict,
+        CompressionKind::Rle,
+    ] {
+        let ctx = PageContext {
+            dtypes: &dtypes,
+            kind,
+            global_dicts: (kind == CompressionKind::GlobalDict).then_some(dicts.as_slice()),
+        };
+        let page = encode_page(&rows, &ctx).unwrap().bytes;
+        assert_eq!(
+            decode_everything(&page, &ctx).unwrap(),
+            rows.len(),
+            "{kind}"
+        );
+        for cut in 0..page.len() {
+            if let Ok(n) = decode_everything(&page[..cut], &ctx) {
+                assert_eq!(n, header_rows(&page[..cut]), "{kind} cut at {cut}");
+            }
+        }
+        let mut damaged = page.clone();
+        for bit in 0..page.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(n) = decode_everything(&damaged, &ctx) {
+                assert_eq!(n, header_rows(&damaged), "{kind} bit {bit} flipped");
+            }
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
 }

@@ -2,13 +2,15 @@
 //! executor's kernels operate on.
 //!
 //! A [`ColumnVector`] is built from one column's encoded section of one leaf
-//! page (see `cadb_compression::page::column_sections`) **without expanding
+//! page (see `cadb_compression::page::column_sections`) by the page codec's
+//! one block parser, `cadb_compression::decode_column`, **without expanding
 //! runs or dictionary codes**: an RLE column becomes a list of
 //! `(run_len, value)` pairs with each run's value decoded exactly once, and
 //! a dictionary column (PAGE's page-local dictionary or the index-wide
 //! global dictionary) becomes decoded dictionary entries plus one small code
-//! per row. Kernels then pay decode and predicate cost **per distinct
-//! value**, not per row:
+//! per row. This module knows those shapes, not the codecs' byte layouts.
+//! Kernels then pay decode and predicate cost **per distinct value**, not
+//! per row:
 //!
 //! * [`ColumnVector::filter`] evaluates a predicate once per run / per
 //!   dictionary entry and fans the verdict out to rows through the run
@@ -23,33 +25,18 @@
 //! stream; a NULL row fails every predicate (SQL three-valued logic) and
 //! gathers as [`Value::Null`].
 
-use cadb_common::{CadbError, DataType, Result, Value};
+use cadb_common::{DataType, Result, Value};
 use cadb_compression::bytesrepr::value_from_bytes;
-use cadb_compression::page::{split_page_block, tag, ColumnSection};
-use cadb_compression::{local_dict, null_suppress, prefix, rle, PageContext};
+use cadb_compression::{decode_column, ColumnData, ColumnSection, PageContext};
 use cadb_engine::Predicate;
-use std::collections::HashMap;
 
 /// The physical shape of one column of one page, decoded only as far as its
-/// compression structure allows without expanding.
-#[derive(Debug, Clone)]
-pub enum VectorData {
-    /// One decoded value per non-null row (NS / plain columns — nothing to
-    /// short-circuit on).
-    Plain(Vec<Value>),
-    /// RLE runs over the non-null rows: each value decoded once.
-    Runs(Vec<(usize, Value)>),
-    /// Dictionary-coded rows: distinct values decoded once, plus one code
-    /// per non-null row. Covers both the page-local dictionary (PAGE) and
-    /// the index-wide dictionary (GDICT); inline literals get appended
-    /// dictionary slots of their own.
-    Dict {
-        /// Decoded dictionary entries (and literals).
-        dict: Vec<Value>,
-        /// Per-row indexes into `dict`.
-        codes: Vec<u32>,
-    },
-}
+/// compression structure allows without expanding: one `Value` per non-null
+/// row (NS / plain columns — nothing to short-circuit on), RLE runs, or
+/// dictionary entries (PAGE's page-local dictionary plus its inline
+/// literals, or the index-wide GDICT entries the page uses) with one code
+/// per non-null row.
+pub type VectorData = ColumnData<Value>;
 
 /// One column of one leaf page in vector form.
 #[derive(Debug, Clone)]
@@ -61,7 +48,8 @@ pub struct ColumnVector {
 }
 
 impl ColumnVector {
-    /// Build the vector for one column section of a page.
+    /// Build the vector for one column section of a page: one
+    /// `value_from_bytes` per plain value, run or dictionary entry.
     ///
     /// `col` is the column's ordinal within the page (needed to pick the
     /// global dictionary when the section is GDICT-encoded).
@@ -72,99 +60,15 @@ impl ColumnVector {
         col: usize,
         n_rows: usize,
     ) -> Result<Self> {
-        let n_non_null = sec.n_non_null(n_rows);
-        let data = match sec.tag {
-            tag::PLAIN | tag::NS => {
-                let canon = cadb_compression::page::decode_column_values(
-                    sec.block, sec.tag, dtype, ctx, col, n_non_null,
-                )?;
-                let mut vals = Vec::with_capacity(canon.len());
-                for b in &canon {
-                    vals.push(value_from_bytes(b, dtype)?);
-                }
-                VectorData::Plain(vals)
-            }
-            tag::RLE => {
-                let mut runs = Vec::new();
-                for run in rle::runs(sec.block)? {
-                    let (len, ns) = run?;
-                    let v = value_from_bytes(&null_suppress::expand(ns, dtype), dtype)?;
-                    runs.push((len, v));
-                }
-                VectorData::Runs(runs)
-            }
-            tag::PAGE => {
-                let (anchor, dict_block) = split_page_block(sec.block)?;
-                let (raw_dict, tokens) = local_dict::decode_parts(dict_block)?;
-                let decode_entry = |enc: &[u8]| -> Result<Value> {
-                    let ns = prefix::decode_one(anchor, enc)?;
-                    value_from_bytes(&null_suppress::expand(&ns, dtype), dtype)
-                };
-                let mut dict = Vec::with_capacity(raw_dict.len());
-                for e in &raw_dict {
-                    dict.push(decode_entry(e)?);
-                }
-                let mut codes = Vec::with_capacity(tokens.len());
-                for t in tokens {
-                    match t {
-                        local_dict::Token::Code(c) => codes.push(c as u32),
-                        local_dict::Token::Literal(enc) => {
-                            codes.push(dict.len() as u32);
-                            dict.push(decode_entry(&enc)?);
-                        }
-                    }
-                }
-                VectorData::Dict { dict, codes }
-            }
-            tag::GDICT => {
-                let dicts = ctx.global_dicts.ok_or_else(|| {
-                    CadbError::InvalidArgument("GDICT vector requires dictionaries".into())
-                })?;
-                let gdict = dicts.get(col).ok_or_else(|| {
-                    CadbError::InvalidArgument(format!("no global dictionary for column {col}"))
-                })?;
-                let ids = cadb_compression::global_dict::decode_ids(sec.block)?;
-                // Remap the index-wide ids onto a dense per-page dictionary
-                // of only the values that actually occur, decoded once
-                // each. Keyed by the ids this page really uses, so the
-                // work is proportional to the page — not to the whole
-                // index dictionary's cardinality.
-                let mut remap: HashMap<u32, u32> = HashMap::new();
-                let mut dict = Vec::new();
-                let mut codes = Vec::with_capacity(ids.len());
-                for id in ids {
-                    let code = match remap.get(&id) {
-                        Some(c) => *c,
-                        None => {
-                            let entry = gdict.entry(id).ok_or_else(|| {
-                                CadbError::Storage(format!("gdict id {id} out of range"))
-                            })?;
-                            let c = dict.len() as u32;
-                            dict.push(value_from_bytes(entry, dtype)?);
-                            remap.insert(id, c);
-                            c
-                        }
-                    };
-                    codes.push(code);
-                }
-                VectorData::Dict { dict, codes }
-            }
-            other => {
-                return Err(CadbError::Storage(format!("unknown column tag {other}")));
-            }
-        };
-        let vec = ColumnVector {
+        let n = sec.n_non_null(n_rows);
+        let to_value = |b: Vec<u8>| value_from_bytes(&b, dtype);
+        let data = decode_column(sec.block, sec.tag, dtype, ctx, col, n, 0..n, to_value)?;
+        // `decode_column` returned exactly one position per non-null row.
+        Ok(ColumnVector {
             n_rows,
             nulls: sec.bitmap.to_vec(),
             data,
-        };
-        if vec.n_non_null() != n_non_null {
-            return Err(CadbError::Storage(format!(
-                "column {col}: vector has {} values, bitmap expects {n_non_null}",
-                vec.n_non_null()
-            )));
-        }
-        Ok(vec)
+        })
     }
 
     /// Rows in the page this vector covers.
@@ -175,15 +79,6 @@ impl ColumnVector {
     /// `true` when row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
         self.nulls[i / 8] & (1 << (i % 8)) != 0
-    }
-
-    /// Non-null values represented (expanded) by this vector.
-    pub fn n_non_null(&self) -> usize {
-        match &self.data {
-            VectorData::Plain(v) => v.len(),
-            VectorData::Runs(runs) => runs.iter().map(|(n, _)| n).sum(),
-            VectorData::Dict { codes, .. } => codes.len(),
-        }
     }
 
     /// The underlying vector data.
@@ -199,7 +94,7 @@ impl ColumnVector {
         match &self.data {
             VectorData::Plain(v) => v.len(),
             VectorData::Runs(runs) => runs.len(),
-            VectorData::Dict { dict, .. } => dict.len(),
+            VectorData::Dict { entries, .. } => entries.len(),
         }
     }
 
@@ -264,8 +159,8 @@ impl ColumnVector {
                     }
                 }
             }
-            VectorData::Dict { dict, codes } => {
-                let mut verdicts: Vec<Option<bool>> = vec![None; dict.len()];
+            VectorData::Dict { entries, codes } => {
+                let mut verdicts: Vec<Option<bool>> = vec![None; entries.len()];
                 let mut cursor = 0usize;
                 for (i, s) in sel.iter_mut().enumerate() {
                     if self.is_null(i) {
@@ -275,7 +170,7 @@ impl ColumnVector {
                             let code = codes[cursor] as usize;
                             let v = *verdicts[code].get_or_insert_with(|| {
                                 evals += 1;
-                                pred.matches_value(&dict[code])
+                                pred.matches_value(&entries[code])
                             });
                             if !v {
                                 *s = false;
@@ -346,13 +241,13 @@ impl ColumnVector {
                     f(i, Some(val));
                 }
             }
-            VectorData::Dict { dict, codes } => {
+            VectorData::Dict { entries, codes } => {
                 let mut cursor = 0usize;
                 for i in 0..self.n_rows {
                     if self.is_null(i) {
                         f(i, None);
                     } else {
-                        f(i, Some(&dict[codes[cursor] as usize]));
+                        f(i, Some(&entries[codes[cursor] as usize]));
                         cursor += 1;
                     }
                 }
@@ -381,12 +276,12 @@ impl ColumnVector {
                     }
                 }
             }
-            (None, VectorData::Dict { dict, codes }) => {
-                let mut counts = vec![0u64; dict.len()];
+            (None, VectorData::Dict { entries, codes }) => {
+                let mut counts = vec![0u64; entries.len()];
                 for c in codes {
                     counts[*c as usize] += 1;
                 }
-                for (v, n) in dict.iter().zip(counts) {
+                for (v, n) in entries.iter().zip(counts) {
                     if let (Value::Int(x), true) = (v, n > 0) {
                         agg.add_repeated(*x, n);
                     }

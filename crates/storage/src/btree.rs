@@ -13,7 +13,8 @@
 use cadb_common::par::{try_par_map, Parallelism};
 use cadb_common::{CadbError, ColumnId, DataType, Result, Row, Value};
 use cadb_compression::analyze::{build_dictionaries, pack_pages, PAGE_SIZE};
-use cadb_compression::page::{decode_page, EncodedPage, PageContext};
+use cadb_compression::bytesrepr::value_from_bytes;
+use cadb_compression::page::{decode_column, decode_page, EncodedPage, PageContext};
 use cadb_compression::{CompressionKind, GlobalDictionary};
 use std::cmp::Ordering;
 
@@ -366,10 +367,10 @@ impl PhysicalIndex {
     /// so partial-scan results merge deterministically with full scans.
     ///
     /// The leading boundary leaf is additionally trimmed by decoding only
-    /// its **last row's key columns** through the bounded column decode
-    /// (`cadb_compression::decode_column_values_range`); when that single
-    /// row already falls below `lo`, the leaf cannot contain a match and is
-    /// skipped without touching the rest of its payload. The trim is
+    /// its **last row's key columns** through a one-position column decode
+    /// ([`Self::leaf_last_key`]); when that single row already falls below
+    /// `lo`, the leaf cannot contain a match and is skipped without
+    /// touching the rest of its payload. The trim is
     /// best-effort: any decode irregularity (e.g. NULLs in key columns)
     /// conservatively keeps the leaf.
     pub fn page_cursor_range(&self, lo: Option<&[Value]>, hi: Option<&[Value]>) -> PageCursor<'_> {
@@ -416,41 +417,27 @@ impl PhysicalIndex {
     }
 
     /// The last row's leading `prefix_len` key columns of one leaf, decoded
-    /// through the bounded column decode — O(1) values materialized per key
-    /// column instead of the whole page. Returns `Ok(None)` when the leaf is
-    /// empty or a key column holds NULLs (the positions of the non-null
-    /// value stream then stop aligning with row positions, so the caller
-    /// must not draw conclusions from it).
+    /// one position per key column (`decode_column` over `n-1..n`) instead
+    /// of the whole page. Returns `Ok(None)` when the leaf is empty or a key
+    /// column holds NULLs (the positions of the non-null value stream then
+    /// stop aligning with row positions, so the caller must not draw
+    /// conclusions from it).
     pub fn leaf_last_key(&self, leaf: usize, prefix_len: usize) -> Result<Option<Row>> {
-        let page = &self.leaves[leaf];
-        let n = page.n_rows;
+        let ctx = self.ctx();
+        let (n, sections) = cadb_compression::column_sections(&self.leaves[leaf].bytes)?;
         if n == 0 {
             return Ok(None);
         }
-        let ctx = self.ctx();
-        let (n_page, sections) = cadb_compression::column_sections(&page.bytes)?;
         let n_cols = prefix_len.min(self.n_key_cols);
         let mut vals = Vec::with_capacity(n_cols);
-        for (c, sec) in sections.iter().enumerate().take(n_cols) {
-            if sec.n_non_null(n_page) != n_page {
+        for (c, (sec, dtype)) in sections.iter().zip(&self.dtypes).enumerate().take(n_cols) {
+            if sec.n_non_null(n) != n {
                 return Ok(None); // NULL in a key column: stay conservative
             }
-            let canon = cadb_compression::decode_column_values_range(
-                sec.block,
-                sec.tag,
-                &self.dtypes[c],
-                &ctx,
-                c,
-                n_page,
-                n_page - 1..n_page,
-            )?;
-            match canon.into_iter().next() {
-                Some(b) => vals.push(cadb_compression::bytesrepr::value_from_bytes(
-                    &b,
-                    &self.dtypes[c],
-                )?),
-                None => return Ok(None),
-            }
+            // `decode_column` returns exactly the one requested value.
+            let to_value = |b: Vec<u8>| value_from_bytes(&b, dtype);
+            let last = decode_column(sec.block, sec.tag, dtype, &ctx, c, n, n - 1..n, to_value)?;
+            vals.extend(last.expand()?);
         }
         Ok(Some(Row::new(vals)))
     }

@@ -13,10 +13,10 @@
 //! deliberate exception in library code can carry `// lint: allow-print`
 //! on the same line, with a comment nearby saying why.
 //!
-//! The other checks hold `crates/exec/src/store` and the planning/execution
-//! path (`access_path.rs`, `exec/planner.rs`, `exec/query.rs`) to ROADMAP
-//! aim 3: no reachable `unwrap`/`expect`/`unreachable!` on data-dependent
-//! paths.
+//! The other checks hold `crates/exec/src/store`, the codecs
+//! (`crates/compression/src`) and the planning/execution path
+//! (`access_path.rs`, `exec/planner.rs`, `exec/query.rs`) to ROADMAP aim 3:
+//! no reachable `unwrap`/`expect`/`unreachable!` on data-dependent paths.
 
 use std::path::{Path, PathBuf};
 
@@ -140,6 +140,22 @@ fn store_has_no_reachable_panics() {
     assert!(
         violations.is_empty(),
         "store code must return errors, not panic:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Nor do the codecs: `crates/compression/src/*.rs` decode page bytes that
+/// may be damaged, and must return `Err` for them.
+#[test]
+fn codecs_have_no_reachable_panics() {
+    let codecs = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/compression/src");
+    let mut files = Vec::new();
+    rust_files(&codecs, &mut files);
+    assert!(files.len() >= 10, "lint walked too few files: {files:?}");
+    let violations = reachable_panics(&files);
+    assert!(
+        violations.is_empty(),
+        "codec code must return errors, not panic:\n{}",
         violations.join("\n")
     );
 }
