@@ -16,13 +16,13 @@ use crate::query::{execute_planned, execute_query, missing_base};
 use crate::scan::ExecMode;
 use crate::store::{Store, WriteKind};
 use cadb_common::json::{JsonArray, JsonObject};
-use cadb_common::{obs, rows_footprint, ColumnId, Parallelism, Reservation, Result, Row, TableId};
+use cadb_common::{obs, rows_footprint, DataType, Parallelism, Reservation, Result, Row, TableId};
 use cadb_compression::CompressionKind;
 use cadb_engine::cardinality::query_output_rows;
 use cadb_engine::exec::materialize_mv;
 use cadb_engine::{Configuration, Database, IndexSpec, SizeEstimate, WhatIfOptimizer, Workload};
-use cadb_sampling::index_rows::{index_row_stream, mv_index_row_stream};
-use cadb_shard::{BuildOptions, BuildStats, ShardSpec, ShardedIndex};
+use cadb_sampling::index_rows::{index_row_order, index_row_stream, mv_index_row_stream};
+use cadb_shard::{BuildOptions, BuildStats};
 use cadb_storage::PhysicalIndex;
 use std::collections::BTreeMap;
 
@@ -104,26 +104,40 @@ impl MaterializedConfig {
         )
     }
 
-    /// Build every structure of `cfg` through the sharded out-of-core path:
-    /// row streams are stripe-encoded on `opts.parallelism` workers, every
-    /// working set and resident structure is charged to `opts.budget`, and
-    /// the build fails (rather than thrashes) past a hard limit. The built
-    /// bytes depend only on `opts.stripe_rows` — never on the parallelism
-    /// mode — and with a single stripe they equal [`Self::build`] exactly.
+    /// Build every structure of `cfg` through the striped out-of-core build
+    /// ([`PhysicalIndex::build_striped`]): row streams are stripe-encoded
+    /// on `opts.parallelism` workers, every working set and resident
+    /// structure is charged to `opts.budget`, and the build fails (rather
+    /// than thrashes) past a hard limit. The built bytes depend only on
+    /// `opts.stripe_rows` — never on the parallelism mode — and with a
+    /// single stripe they equal [`Self::build`] exactly.
     pub fn build_with(db: &Database, cfg: &Configuration, opts: &BuildOptions) -> Result<Self> {
         let _span = obs::span("exec.build_config");
         let mut held: Vec<Reservation> = Vec::new();
         let mut stats = BuildStats::default();
-        let mut track =
-            |held: &mut Vec<Reservation>, sharded: ShardedIndex| -> Result<PhysicalIndex> {
-                let s = *sharded.stats();
-                stats.shards += s.shards;
-                stats.stripes += s.stripes;
-                stats.rows += s.rows;
-                let ix = sharded.into_index();
-                held.push(opts.budget.try_reserve(ix.size_bytes())?);
-                Ok(ix)
-            };
+        // Build one structure and keep its encoded bytes charged to the
+        // budget while the configuration lives.
+        let mut build = |held: &mut Vec<Reservation>,
+                         rows: &[Row],
+                         dtypes: &[DataType],
+                         n_key: usize,
+                         kind: CompressionKind|
+         -> Result<PhysicalIndex> {
+            let ix = PhysicalIndex::build_striped(
+                rows,
+                dtypes,
+                n_key,
+                kind,
+                opts.stripe_rows,
+                opts.parallelism,
+                &opts.budget,
+            )?;
+            stats.shards += 1;
+            stats.stripes += rows.len().div_ceil(opts.stripe_rows.max(1));
+            stats.rows += rows.len();
+            held.push(opts.budget.try_reserve(ix.size_bytes())?);
+            Ok(ix)
+        };
         let mut bases = BTreeMap::new();
         let mut base_specs: BTreeMap<TableId, IndexSpec> = BTreeMap::new();
         let mut base_est_pages: BTreeMap<TableId, f64> = BTreeMap::new();
@@ -146,44 +160,25 @@ impl MaterializedConfig {
                     base_est_pages.insert(t, s.size.pages);
                     // Replicate the clustered sort as a permutation of
                     // insertion ordinals: clustered rows are the table rows
-                    // ordered by the leading key columns (stable on ties),
-                    // exactly what `index_row_stream` produced above.
-                    let n_key_cols = s.spec.key_cols.len().min(db.dtypes(t).len());
-                    let key: Vec<ColumnId> = (0..n_key_cols as u16).map(ColumnId).collect();
+                    // in the index's row order, exactly what
+                    // `index_row_stream` produced above.
+                    let (_, order) = index_row_order(Some(&s.spec), db.dtypes(t).len());
                     let mut idx: Vec<u32> = (0..src.len() as u32).collect();
-                    idx.sort_by(|&a, &b| {
-                        src[a as usize]
-                            .key_cmp(&src[b as usize], &key)
-                            .then_with(|| src[a as usize].cmp(&src[b as usize]))
-                    });
+                    idx.sort_by(|&a, &b| order(&src[a as usize], &src[b as usize]));
                     let mut perm = vec![0u32; src.len()];
                     for (pos, &ord) in idx.iter().enumerate() {
                         perm[ord as usize] = pos as u32;
                     }
                     base_perm.insert(t, perm);
                     let _ws = opts.budget.try_reserve(rows_footprint(&rows))?;
-                    track(
-                        &mut held,
-                        ShardedIndex::build_presorted(
-                            &rows,
-                            &dtypes,
-                            n_key,
-                            s.spec.compression,
-                            ShardSpec::range(1),
-                            opts,
-                        )?,
-                    )?
+                    build(&mut held, &rows, &dtypes, n_key, s.spec.compression)?
                 }
-                None => track(
+                None => build(
                     &mut held,
-                    ShardedIndex::build_presorted(
-                        db.table(t).rows(),
-                        &db.dtypes(t),
-                        0,
-                        CompressionKind::None,
-                        ShardSpec::range(1),
-                        opts,
-                    )?,
+                    db.table(t).rows(),
+                    &db.dtypes(t),
+                    0,
+                    CompressionKind::None,
                 )?,
             };
             bases.insert(t, ix);
@@ -211,17 +206,7 @@ impl MaterializedConfig {
                 index_row_stream(db, &s.spec, db.table(s.spec.table).rows())?
             };
             let _ws = opts.budget.try_reserve(rows_footprint(&rows))?;
-            let ix = track(
-                &mut held,
-                ShardedIndex::build_presorted(
-                    &rows,
-                    &dtypes,
-                    n_key,
-                    s.spec.compression,
-                    ShardSpec::range(1),
-                    opts,
-                )?,
-            )?;
+            let ix = build(&mut held, &rows, &dtypes, n_key, s.spec.compression)?;
             measured.push(MeasuredStructure {
                 spec: s.spec.clone(),
                 estimated: s.size,
@@ -232,6 +217,7 @@ impl MaterializedConfig {
             built.insert(s.spec.clone(), ix);
         }
         stats.peak_bytes = opts.budget.peak_bytes();
+        stats.publish();
         Ok(MaterializedConfig {
             bases,
             base_specs,

@@ -99,6 +99,7 @@ use cadb_compression::CompressionKind;
 use cadb_engine::{
     BulkDelete, BulkInsert, BulkUpdate, CostModel, Database, IndexSpec, MvSpec, Statement, Workload,
 };
+use cadb_sampling::index_rows::index_row_order;
 use cadb_shard::{ShardRouter, ShardSpec};
 use cadb_storage::wal::{self, FrameType, FRAME_HEADER_BYTES};
 use cadb_storage::PhysicalIndex;
@@ -1108,15 +1109,10 @@ impl<'a> Store<'a> {
         } else {
             let base = self.base_rows(t)?;
             let mut rows = visible_rows(d, &base, lsn);
-            let (n_key, kind) = match self.mat.base_spec(t) {
-                Some(spec) => (
-                    spec.key_cols.len().min(self.db.dtypes(t).len()),
-                    spec.compression,
-                ),
-                None => (0, CompressionKind::None),
-            };
-            let key: Vec<ColumnId> = (0..n_key as u16).map(ColumnId).collect();
-            rows.sort_by(|a, b| a.key_cmp(b, &key).then_with(|| a.cmp(b)));
+            let spec = self.mat.base_spec(t);
+            let kind = spec.map_or(CompressionKind::None, |s| s.compression);
+            let (n_key, order) = index_row_order(spec, self.db.dtypes(t).len());
+            rows.sort_by(order);
             Ok((
                 PhysicalIndex::build(&rows, &self.db.dtypes(t), n_key, kind)?,
                 false,

@@ -8,6 +8,7 @@ use cadb_common::{CadbError, ColumnId, DataType, Result, Row, Value};
 use cadb_compression::analyze::compressed_index_size;
 use cadb_engine::exec::materialize_mv;
 use cadb_engine::{Database, IndexSpec};
+use std::cmp::Ordering;
 
 /// The typed, sorted row stream an index build would consume, produced from
 /// an arbitrary subset of the table's rows (`source`). Returns
@@ -82,10 +83,28 @@ pub fn index_row_stream_spread(
         dtypes.push(DataType::Int);
     }
 
-    let n_key = spec.key_cols.len().min(stored.len());
-    let key: Vec<ColumnId> = (0..n_key as u16).map(ColumnId).collect();
-    rows.sort_by(|a, b| a.key_cmp(b, &key).then_with(|| a.cmp(b)));
+    let (n_key, order) = index_row_order(Some(spec), stored.len());
+    rows.sort_by(order);
     Ok((rows, dtypes, n_key))
+}
+
+/// The one ordering rule for the rows of an index over `spec` (`None` for
+/// a heap) whose stored rows are `n_cols` wide: the first
+/// `spec.key_cols.len()` stored columns, then the whole row, so rows with
+/// equal keys have one order too. Returns the number of key columns the
+/// index is built with and the comparator. The index row stream, the
+/// clustered base's scan-order permutation
+/// (`cadb_exec::MaterializedConfig::build_with`) and the checkpoint's leaf
+/// rebuild (`Store::fold_table`) all sort by it, so they agree on every
+/// row's position.
+pub fn index_row_order(
+    spec: Option<&IndexSpec>,
+    n_cols: usize,
+) -> (usize, impl Fn(&Row, &Row) -> Ordering) {
+    let n_key = spec.map_or(0, |s| s.key_cols.len().min(n_cols));
+    let key: Vec<ColumnId> = (0..n_key as u16).map(ColumnId).collect();
+    let order = move |a: &Row, b: &Row| a.key_cmp(b, &key).then_with(|| a.cmp(b));
+    (n_key, order)
 }
 
 /// The stored-column permutation of an index over an MV: the spec's key

@@ -1,30 +1,27 @@
 //! Sharded B+Tree builds: partition → per-shard sort → deterministic merge
-//! → striped leaf packing.
+//! → [`PhysicalIndex::build_striped`], the one index build path.
 //!
 //! The invariant everything here defends: **the built bytes are a pure
 //! function of `(rows, dtypes, n_key_cols, kind, stripe_rows)`** — never of
 //! the shard count, the partitioning policy, or the [`Parallelism`] mode.
-//! Three mechanisms make that hold:
+//! Two mechanisms make that hold:
 //!
 //! 1. Per-shard sorts and the k-way merge use one total order — key
 //!    comparison, then whole-row comparison, then original position — so
 //!    the merged permutation is the same global sort no matter how rows
 //!    were routed to shards.
-//! 2. Leaf-page boundaries come from a fixed stripe grid over the merged
-//!    stream ([`PhysicalIndex::build_striped`]'s discipline), not from
-//!    shard boundaries.
-//! 3. `GlobalDict` dictionaries are built over the whole merged stream
-//!    before any stripe encodes, so codes agree across workers.
+//! 2. Leaf-page boundaries and `GlobalDict` codes come from the striped
+//!    build over the merged stream, not from shard boundaries.
+//!
+//! [`Parallelism`]: cadb_common::par::Parallelism
 
 use crate::partition::{
     key_hash, rows_footprint, BuildOptions, BuildStats, Partitioning, ShardSpec,
 };
 use cadb_common::obs;
-use cadb_common::par::{try_par_map, Parallelism};
+use cadb_common::par::try_par_map;
 use cadb_common::{CadbError, ColumnId, DataType, Result, Row};
-use cadb_compression::analyze::build_dictionaries;
 use cadb_compression::CompressionKind;
-use cadb_storage::btree::StripePages;
 use cadb_storage::PhysicalIndex;
 
 /// A B+Tree index built through the sharded out-of-core pipeline. The
@@ -37,52 +34,16 @@ pub struct ShardedIndex {
     stats: BuildStats,
 }
 
-/// Encode `rows` (already in final order) through the stripe grid, charging
-/// `opts.budget` for each stripe's raw working set while it encodes and for
-/// the encoded pages it leaves resident. Returns the assembled index and
-/// the stripe count.
-pub(crate) fn pack_striped(
-    rows: &[Row],
-    dtypes: &[DataType],
-    n_key_cols: usize,
-    kind: CompressionKind,
-    opts: &BuildOptions,
-) -> Result<(PhysicalIndex, usize)> {
-    let _span = obs::span("shard.stripe_pack");
-    let dicts = if kind == CompressionKind::GlobalDict {
-        Some(build_dictionaries(rows, dtypes))
-    } else {
-        None
-    };
-    let chunks: Vec<&[Row]> = rows.chunks(opts.stripe_rows.max(1)).collect();
-    let budget = &opts.budget;
-    let encoded = try_par_map(opts.parallelism, &chunks, |_, chunk| {
-        let raw = budget.try_reserve(rows_footprint(chunk))?;
-        let stripe =
-            PhysicalIndex::encode_stripe(chunk, dtypes, n_key_cols, kind, dicts.as_deref())?;
-        drop(raw);
-        let held = budget.try_reserve(stripe.encoded_bytes())?;
-        Ok::<(StripePages, cadb_common::Reservation), CadbError>((stripe, held))
-    })?;
-    let n_stripes = encoded.len();
-    let mut stripes = Vec::with_capacity(n_stripes);
-    let mut held = Vec::with_capacity(n_stripes);
-    for (s, r) in encoded {
-        stripes.push(s);
-        held.push(r);
-    }
-    let index = PhysicalIndex::from_stripes(stripes, dtypes, n_key_cols, kind, dicts)?;
-    drop(held);
-    Ok((index, n_stripes))
-}
-
 impl ShardedIndex {
     /// Build from **unsorted** input: route rows to shards per `spec`, sort
-    /// each shard on a worker, k-way merge the runs, stripe-pack the merged
-    /// stream. Bit-identical for every shard count, partitioning policy and
-    /// [`Parallelism`] mode (given equal `opts.stripe_rows`); with a single
-    /// stripe it is bit-identical to the monolithic
-    /// [`PhysicalIndex::build`] over the sorted rows.
+    /// each shard on a worker, k-way merge the runs, and build the merged
+    /// stream with [`PhysicalIndex::build_striped`] under `opts`.
+    /// Bit-identical for every shard count, partitioning policy and
+    /// [`cadb_common::par::Parallelism`] mode (given equal
+    /// `opts.stripe_rows`); with a single stripe it is bit-identical to
+    /// [`PhysicalIndex::build`] over the sorted rows. A heap
+    /// (`n_key_cols == 0`) keeps the input order and needs Range
+    /// partitioning.
     pub fn build(
         rows: &[Row],
         dtypes: &[DataType],
@@ -92,7 +53,19 @@ impl ShardedIndex {
         opts: &BuildOptions,
     ) -> Result<Self> {
         let _span = obs::span("shard.build");
-        if n_key_cols == 0 {
+        let budget = &opts.budget;
+        let build = |rows: &[Row]| {
+            PhysicalIndex::build_striped(
+                rows,
+                dtypes,
+                n_key_cols,
+                kind,
+                opts.stripe_rows,
+                opts.parallelism,
+                budget,
+            )
+        };
+        let (shards, index) = if n_key_cols == 0 {
             if spec.partitioning == Partitioning::Hash {
                 return Err(CadbError::InvalidArgument(
                     "heap (0 key columns) requires Range partitioning: input order is the layout"
@@ -100,105 +73,20 @@ impl ShardedIndex {
                 ));
             }
             // A heap's layout is the input order — no sort, no merge.
-            return Self::build_presorted(rows, dtypes, 0, kind, spec, opts);
-        }
-        let shards = spec.shards.clamp(1, rows.len().max(1));
-        let key_cols: Vec<ColumnId> = (0..n_key_cols as u16).map(ColumnId).collect();
-
-        // Route each position to its shard.
-        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        match spec.partitioning {
-            Partitioning::Range => {
-                for (s, chunk_assigned) in assigned.iter_mut().enumerate() {
-                    let lo = rows.len() * s / shards;
-                    let hi = rows.len() * (s + 1) / shards;
-                    chunk_assigned.extend(lo..hi);
-                }
-            }
-            Partitioning::Hash => {
-                for (i, r) in rows.iter().enumerate() {
-                    assigned[(key_hash(r, n_key_cols) % shards as u64) as usize].push(i);
-                }
-            }
-        }
-
-        // Per-shard sort by the shared total order. The budget charges the
-        // shard's index working set while it sorts.
-        let budget = &opts.budget;
-        let total = |a: usize, b: usize| {
-            rows[a]
-                .key_cmp(&rows[b], &key_cols)
-                .then_with(|| rows[a].cmp(&rows[b]))
-                .then(a.cmp(&b))
+            (spec.shards.max(1), build(rows)?)
+        } else {
+            let shards = spec.shards.clamp(1, rows.len().max(1));
+            let order = merged_order(rows, n_key_cols, spec.partitioning, shards, opts)?;
+            // Materialize the merged stream and build it.
+            let _merged_ws = budget.try_reserve(rows_footprint(rows))?;
+            let merged: Vec<Row> = order.into_iter().map(|i| rows[i].clone()).collect();
+            (shards, build(&merged)?)
         };
-        let sort_span = obs::span("shard.sort_shards");
-        let runs: Vec<Vec<usize>> = try_par_map(opts.parallelism, &assigned, |_, idxs| {
-            let _ws = budget.try_reserve(idxs.len() * std::mem::size_of::<usize>())?;
-            let mut run = idxs.clone();
-            run.sort_unstable_by(|&a, &b| total(a, b));
-            Ok::<Vec<usize>, CadbError>(run)
-        })?;
-        drop(sort_span);
-
-        // K-way merge: always pick the globally least (row, position). The
-        // result is exactly the one global sort, whatever the routing was.
-        let merge_span = obs::span("shard.merge");
-        let mut heads = vec![0usize; runs.len()];
-        let mut merged_idx = Vec::with_capacity(rows.len());
-        loop {
-            let mut best: Option<(usize, usize)> = None; // (shard, idx)
-            for (s, run) in runs.iter().enumerate() {
-                if let Some(&i) = run.get(heads[s]) {
-                    best = match best {
-                        Some((_, bi)) if total(i, bi) != std::cmp::Ordering::Less => best,
-                        _ => Some((s, i)),
-                    };
-                }
-            }
-            match best {
-                Some((s, i)) => {
-                    heads[s] += 1;
-                    merged_idx.push(i);
-                }
-                None => break,
-            }
-        }
-
-        drop(merge_span);
-
-        // Materialize the merged stream and stripe-pack it.
-        let _merged_ws = budget.try_reserve(rows_footprint(rows))?;
-        let merged: Vec<Row> = merged_idx.into_iter().map(|i| rows[i].clone()).collect();
-        let (index, stripes) = pack_striped(&merged, dtypes, n_key_cols, kind, opts)?;
         let stats = BuildStats {
             shards,
-            stripes,
+            stripes: rows.len().div_ceil(opts.stripe_rows.max(1)),
             rows: rows.len(),
             peak_bytes: budget.peak_bytes(),
-        };
-        stats.publish();
-        Ok(ShardedIndex { index, stats })
-    }
-
-    /// Build from input **already in final order** (key-sorted for indexes,
-    /// arrival order for heaps) — the fast path when an upstream stage has
-    /// sorted, e.g. an `index_row_stream`. Skips partition/sort/merge and
-    /// goes straight to parallel stripe encoding.
-    pub fn build_presorted(
-        rows: &[Row],
-        dtypes: &[DataType],
-        n_key_cols: usize,
-        kind: CompressionKind,
-        spec: ShardSpec,
-        opts: &BuildOptions,
-    ) -> Result<Self> {
-        let _span = obs::span("shard.build_presorted");
-        let (index, stripes) = pack_striped(rows, dtypes, n_key_cols, kind, opts)?;
-        let stats = BuildStats {
-            shards: spec.shards.max(1),
-            stripes,
-            rows: rows.len(),
-            peak_bytes: opts.budget.peak_bytes(),
         };
         stats.publish();
         Ok(ShardedIndex { index, stats })
@@ -218,36 +106,75 @@ impl ShardedIndex {
     pub fn stats(&self) -> &BuildStats {
         &self.stats
     }
-
-    /// Scan by decoding leaf groups on a worker pool and concatenating in
-    /// leaf order — bit-identical to [`PhysicalIndex::scan`] for every
-    /// [`Parallelism`] mode.
-    pub fn scan(&self, par: Parallelism) -> Result<Vec<Row>> {
-        scan_leaves_parallel(&self.index, par)
-    }
 }
 
-/// Group size for parallel leaf decodes.
-const SCAN_GROUP_LEAVES: usize = 32;
-
-/// Decode every leaf of `index` on a worker pool, merging the decoded
-/// groups in leaf order. Identical output to [`PhysicalIndex::scan`].
-pub fn scan_leaves_parallel(index: &PhysicalIndex, par: Parallelism) -> Result<Vec<Row>> {
-    let n = index.n_leaf_pages();
-    let groups: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(SCAN_GROUP_LEAVES)
-        .map(|g| g..(g + SCAN_GROUP_LEAVES).min(n))
-        .collect();
-    let parts: Vec<Vec<Row>> = try_par_map(par, &groups, |_, g| {
-        let mut out = Vec::new();
-        for leaf in g.clone() {
-            out.extend(index.decode_leaf(leaf)?);
+/// Positions of `rows` in the one global sort, found by routing them to
+/// `shards` shards, sorting each shard on a worker (charging `opts.budget`
+/// for the shard's index working set) and k-way merging the runs.
+fn merged_order(
+    rows: &[Row],
+    n_key_cols: usize,
+    partitioning: Partitioning,
+    shards: usize,
+    opts: &BuildOptions,
+) -> Result<Vec<usize>> {
+    let key_cols: Vec<ColumnId> = (0..n_key_cols as u16).map(ColumnId).collect();
+    // Route each position to its shard.
+    let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    match partitioning {
+        Partitioning::Range => {
+            for (s, chunk_assigned) in assigned.iter_mut().enumerate() {
+                let lo = rows.len() * s / shards;
+                let hi = rows.len() * (s + 1) / shards;
+                chunk_assigned.extend(lo..hi);
+            }
         }
-        Ok::<Vec<Row>, CadbError>(out)
-    })?;
-    let mut out = Vec::with_capacity(index.n_rows());
-    for p in parts {
-        out.extend(p);
+        Partitioning::Hash => {
+            for (i, r) in rows.iter().enumerate() {
+                assigned[(key_hash(r, n_key_cols) % shards as u64) as usize].push(i);
+            }
+        }
     }
-    Ok(out)
+
+    // Per-shard sort by the shared total order.
+    let total = |a: usize, b: usize| {
+        rows[a]
+            .key_cmp(&rows[b], &key_cols)
+            .then_with(|| rows[a].cmp(&rows[b]))
+            .then(a.cmp(&b))
+    };
+    let sort_span = obs::span("shard.sort_shards");
+    let runs: Vec<Vec<usize>> = try_par_map(opts.parallelism, &assigned, |_, idxs| {
+        let _ws = opts
+            .budget
+            .try_reserve(idxs.len() * std::mem::size_of::<usize>())?;
+        let mut run = idxs.clone();
+        run.sort_unstable_by(|&a, &b| total(a, b));
+        Ok::<Vec<usize>, CadbError>(run)
+    })?;
+    drop(sort_span);
+
+    // K-way merge: always pick the globally least (row, position). The
+    // result is exactly the one global sort, whatever the routing was.
+    let _span = obs::span("shard.merge");
+    let mut heads = vec![0usize; runs.len()];
+    let mut merged = Vec::with_capacity(rows.len());
+    loop {
+        let mut best: Option<(usize, usize)> = None; // (shard, idx)
+        for (s, run) in runs.iter().enumerate() {
+            if let Some(&i) = run.get(heads[s]) {
+                best = match best {
+                    Some((_, bi)) if total(i, bi) != std::cmp::Ordering::Less => best,
+                    _ => Some((s, i)),
+                };
+            }
+        }
+        match best {
+            Some((s, i)) => {
+                heads[s] += 1;
+                merged.push(i);
+            }
+            None => return Ok(merged),
+        }
+    }
 }

@@ -1,8 +1,10 @@
 //! # cadb-shard
 //!
-//! The sharded, out-of-core data path: hash/range partitioning, parallel
-//! per-shard builds with a deterministic merge, and memory-budgeted
-//! ingestion of chunked row streams.
+//! The sharded, out-of-core build path: hash/range partitioning, parallel
+//! per-shard sorts with a deterministic merge, and the memory budget every
+//! build is charged to. Leaf packing itself is not here: the merged stream
+//! goes to [`cadb_storage::PhysicalIndex::build_striped`], the one index
+//! build path.
 //!
 //! The crate's contract is the workspace's determinism discipline applied
 //! to physical structure builds: **sharding is an execution strategy, not a
@@ -13,24 +15,21 @@
 //! exact structure a monolithic build would have produced.
 //!
 //! * [`ShardedIndex`] — partition → per-shard sort → k-way merge →
-//!   striped leaf packing ([`cadb_storage::PhysicalIndex::build_striped`]'s
-//!   grid), bit-identical across shard counts and parallelism modes.
-//! * [`ShardedTable`] — chunked ingestion (e.g. from
-//!   `cadb_datagen::stream`) into consecutive compressed heap shards with a
-//!   bounded raw-row buffer.
+//!   striped build, bit-identical across shard counts and parallelism
+//!   modes.
 //! * [`BuildOptions`] / [`cadb_common::MemoryBudget`] — every build meters
 //!   its working sets and resident pages, surfaces the peak in
 //!   [`BuildStats`], and fails (rather than thrashes) when a hard limit
 //!   would be exceeded.
+//! * [`ShardRouter`] — the serving path's row-at-a-time counterpart of the
+//!   build-side partitioner.
 
 #![warn(missing_docs)]
 
 pub mod index;
 pub mod partition;
-pub mod table;
 
-pub use index::{scan_leaves_parallel, ShardedIndex};
+pub use index::ShardedIndex;
 pub use partition::{
     BuildOptions, BuildStats, Partitioning, ShardRouter, ShardSpec, DEFAULT_STRIPE_ROWS,
 };
-pub use table::ShardedTable;

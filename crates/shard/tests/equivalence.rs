@@ -1,12 +1,12 @@
 //! The sharded-path determinism contract: sharded build ≡ monolithic build
-//! (page counts, per-leaf byte digests, measured size estimates) and
-//! sharded scan ≡ monolithic scan, across shard counts × `Parallelism`
-//! modes × partitioning policies × 3 seeds.
+//! (page counts, per-leaf byte digests, measured size estimates, scans),
+//! across shard counts × `Parallelism` modes × partitioning policies ×
+//! 3 seeds.
 
 use cadb_common::rng::rng_for;
 use cadb_common::{ColumnId, DataType, MemoryBudget, Parallelism, Row, Value};
 use cadb_compression::CompressionKind;
-use cadb_shard::{BuildOptions, Partitioning, ShardSpec, ShardedIndex, ShardedTable};
+use cadb_shard::{BuildOptions, Partitioning, ShardSpec, ShardedIndex};
 use cadb_storage::PhysicalIndex;
 use proptest::prelude::*;
 use rand::Rng;
@@ -96,8 +96,8 @@ proptest! {
                             shards, partitioning, par, kind);
                         prop_assert_eq!(ix.size_bytes(), mono.size_bytes());
                         prop_assert_eq!(ix.uncompressed_bytes(), mono.uncompressed_bytes());
-                        // Sharded (parallel leaf-group) scan ≡ monolithic scan.
-                        prop_assert_eq!(&sharded.scan(par).unwrap(), &mono_scan);
+                        // Sharded build's scan ≡ monolithic scan.
+                        prop_assert_eq!(&ix.scan().unwrap(), &mono_scan);
                     }
                 }
             }
@@ -140,8 +140,8 @@ proptest! {
         }
     }
 
-    /// Presorted fast path ≡ general path ≡ monolithic, and heap mode
-    /// preserves input order for every shard count.
+    /// Already-sorted input through the sharded path ≡ monolithic, and heap
+    /// mode preserves input order for every shard count.
     #[test]
     fn presorted_and_heap_paths(
         n in 200usize..500,
@@ -152,7 +152,7 @@ proptest! {
         let sorted = globally_sorted(&rows, 1);
         let opts = BuildOptions::default().with_stripe_rows(usize::MAX);
         let mono = PhysicalIndex::build(&sorted, &dt, 1, CompressionKind::Page).unwrap();
-        let fast = ShardedIndex::build_presorted(
+        let fast = ShardedIndex::build(
             &sorted, &dt, 1, CompressionKind::Page, ShardSpec::range(4), &opts).unwrap();
         prop_assert_eq!(digest(fast.index()), digest(&mono));
         // Heap: Range keeps arrival order; Hash is rejected.
@@ -161,29 +161,6 @@ proptest! {
         prop_assert_eq!(&heap.index().scan().unwrap(), &rows);
         prop_assert!(ShardedIndex::build(
             &rows, &dt, 0, CompressionKind::None, ShardSpec::hash(4), &opts).is_err());
-    }
-
-    /// Chunk-fed sharded tables scan back to the input stream in order,
-    /// for every shard size and parallelism mode.
-    #[test]
-    fn sharded_table_round_trips(
-        n in 200usize..600,
-        rows_per_shard in 50usize..200,
-        seed_ix in 0usize..SEEDS.len(),
-    ) {
-        let rows = gen_rows(SEEDS[seed_ix], n, 30);
-        let dt = dtypes();
-        let chunks: Vec<Vec<Row>> = rows.chunks(64).map(<[Row]>::to_vec).collect();
-        let table = ShardedTable::from_chunks(
-            &dt, CompressionKind::Page, rows_per_shard, chunks.clone(),
-            &BuildOptions::default().with_stripe_rows(128),
-        ).unwrap();
-        prop_assert_eq!(table.n_rows(), n);
-        prop_assert_eq!(table.n_shards(), n.div_ceil(rows_per_shard));
-        prop_assert!(table.size_bytes() > 0);
-        for par in PAR_MODES {
-            prop_assert_eq!(&table.scan(par).unwrap(), &rows);
-        }
     }
 }
 
@@ -226,67 +203,4 @@ fn budget_meters_and_rejects() {
     )
     .unwrap_err();
     assert_eq!(err.category(), "budget");
-
-    // Sharded-table ingestion under a tight limit also reports, not OOMs.
-    let chunks: Vec<Vec<Row>> = rows.chunks(64).map(<[Row]>::to_vec).collect();
-    let err = ShardedTable::from_chunks(
-        &dt,
-        CompressionKind::Page,
-        500,
-        chunks,
-        &BuildOptions::default().with_budget(MemoryBudget::limited(1024)),
-    )
-    .unwrap_err();
-    assert_eq!(err.category(), "budget");
-}
-
-/// Streamed TPC-H chunks through the sharded table: the out-of-core
-/// vertical slice (chunked gen → shard build → merge → scan).
-#[test]
-fn streamed_tpch_through_sharded_table() {
-    let gen = cadb_datagen::TpchGen::new(0.1);
-    let stream = gen.stream_table("lineitem").unwrap();
-    let dt: Vec<DataType> = vec![
-        DataType::Int,
-        DataType::Int,
-        DataType::Int,
-        DataType::Int,
-        DataType::Int,
-        DataType::Int,
-        DataType::Int,
-        DataType::Int,
-        DataType::Char { len: 1 },
-        DataType::Char { len: 1 },
-        DataType::Int,
-        DataType::Int,
-        DataType::Int,
-        DataType::Char { len: 25 },
-        DataType::Char { len: 10 },
-        DataType::Varchar { max_len: 44 },
-        DataType::Char { len: 4 },
-    ];
-    let budget = MemoryBudget::unlimited();
-    let table = ShardedTable::from_chunks(
-        &dt,
-        CompressionKind::Page,
-        2048,
-        stream.map(|c| c.rows),
-        &BuildOptions::default().with_budget(budget.clone()),
-    )
-    .unwrap();
-    assert_eq!(
-        table.n_rows() as u64,
-        gen.stream_row_count("lineitem").unwrap()
-    );
-    assert!(table.n_shards() >= 2);
-    // Peak stayed far below the full raw table: chunked ingestion really
-    // bounds the resident raw-row working set.
-    let full_rows: Vec<Row> = gen
-        .stream_table("lineitem")
-        .unwrap()
-        .flat_map(|c| c.rows)
-        .collect();
-    let scanned = table.scan(Parallelism::Auto).unwrap();
-    assert_eq!(scanned, full_rows);
-    assert!(budget.peak_bytes() > 0);
 }

@@ -6,12 +6,21 @@
 //! in memory; every read path decodes the page it touches, so scans over
 //! compressed indexes really pay decompression CPU.
 //!
+//! There is one build path. [`PhysicalIndex::build_striped`] cuts the input
+//! into stripes, encodes each (the only call of `pack_pages` for an index)
+//! and assembles the leaves; [`PhysicalIndex::build`] is its one-stripe
+//! case. A heap is an index with zero key columns: any input order is
+//! accepted and scans return the rows in input order.
+//!
 //! Internal pages are charged to the index size using a fixed fanout-based
 //! accounting, matching how a real engine's non-leaf levels add a small
 //! (<1 %) overhead on top of the leaf level.
 
 use cadb_common::par::{try_par_map, Parallelism};
-use cadb_common::{CadbError, ColumnId, DataType, Result, Row, Value};
+use cadb_common::{
+    obs, rows_footprint, CadbError, ColumnId, DataType, MemoryBudget, Reservation, Result, Row,
+    Value,
+};
 use cadb_compression::analyze::{build_dictionaries, pack_pages, PAGE_SIZE};
 use cadb_compression::bytesrepr::value_from_bytes;
 use cadb_compression::page::{decode_column, decode_page, EncodedPage, PageContext};
@@ -39,157 +48,69 @@ pub struct PhysicalIndex {
     compressed_bytes: usize,
     uncompressed_bytes: usize,
     /// Rows living in leaf patch sections (see [`Self::append_rows`]),
-    /// not yet folded into clean page encodings by [`Self::rebuilt`].
+    /// not yet folded into clean page encodings by a fresh build.
     patched_rows: usize,
 }
 
 impl PhysicalIndex {
     /// Bulk-build an index from rows **already sorted** on the first
     /// `n_key_cols` columns. `dtypes` describes the stored columns (key
-    /// columns first, then included columns).
+    /// columns first, then included columns). The one-stripe case of
+    /// [`Self::build_striped`], byte for byte.
     pub fn build(
         rows: &[Row],
         dtypes: &[DataType],
         n_key_cols: usize,
         kind: CompressionKind,
     ) -> Result<Self> {
-        if n_key_cols > dtypes.len() {
-            return Err(CadbError::InvalidArgument(format!(
-                "{n_key_cols} key columns but only {} stored columns",
-                dtypes.len()
-            )));
-        }
-        let key_cols: Vec<ColumnId> = (0..n_key_cols as u16).map(ColumnId).collect();
-        for w in rows.windows(2) {
-            if w[0].key_cmp(&w[1], &key_cols) == Ordering::Greater {
-                return Err(CadbError::InvalidArgument(
-                    "index build requires key-sorted input".into(),
-                ));
-            }
-        }
-        let dicts = if kind == CompressionKind::GlobalDict {
-            Some(build_dictionaries(rows, dtypes))
-        } else {
-            None
-        };
-        let ctx = PageContext {
-            dtypes,
-            kind,
-            global_dicts: dicts.as_deref(),
-        };
-        let leaves = pack_pages(rows, &ctx)?;
-
-        // First key of each leaf, recovered from row offsets.
-        let mut leaf_low_keys = Vec::with_capacity(leaves.len());
-        let mut off = 0usize;
-        for leaf in &leaves {
-            if leaf.n_rows > 0 {
-                leaf_low_keys.push(rows[off].project(&key_cols));
-            } else {
-                leaf_low_keys.push(Row::new(vec![]));
-            }
-            off += leaf.n_rows;
-        }
-
-        // Internal levels: ceil-log_fanout pages of separators.
-        let mut internal_pages = 0usize;
-        let mut level = leaves.len();
-        while level > 1 {
-            level = level.div_ceil(INTERNAL_FANOUT);
-            internal_pages += level;
-        }
-
-        let dict_bytes: usize = dicts
-            .as_deref()
-            .map(|ds| ds.iter().map(GlobalDictionary::storage_bytes).sum())
-            .unwrap_or(0);
-        let leaf_bytes: usize = leaves.iter().map(|p| p.bytes.len()).sum();
-        let uncompressed: usize = leaves.iter().map(|p| p.uncompressed_bytes).sum();
-
-        Ok(PhysicalIndex {
-            dtypes: dtypes.to_vec(),
-            n_key_cols,
-            kind,
-            leaf_low_keys,
-            internal_pages,
-            dicts,
-            n_rows: rows.len(),
-            compressed_bytes: leaf_bytes + dict_bytes + internal_pages * PAGE_SIZE,
-            uncompressed_bytes: uncompressed,
-            patched_rows: 0,
-            leaves,
-        })
+        let dicts = whole_input_dicts(rows, dtypes, kind);
+        let stripe = encode_stripe(rows, dtypes, n_key_cols, kind, dicts.as_deref())?;
+        Self::from_stripes(vec![stripe], dtypes, n_key_cols, kind, dicts)
     }
 
-    /// Encode one **stripe** of a striped bulk build: pack a contiguous,
-    /// key-sorted slice of the global row stream into leaf pages. Pure and
-    /// `Sync`-friendly, so stripes encode on a worker pool. For
-    /// [`CompressionKind::GlobalDict`] the caller passes dictionaries built
-    /// over the **whole** input (see [`Self::build_striped`]) so codes are
-    /// identical no matter how the stream is striped.
+    /// Striped bulk build — the index build every out-of-core and parallel
+    /// caller goes through: cut the sorted input into `stripe_rows`-row
+    /// stripes, encode them on a worker pool, and assemble. With a single
+    /// stripe (`stripe_rows >= rows.len()`) the result is **byte-identical**
+    /// to [`Self::build`]; with any fixed stripe size the result is a pure
+    /// function of `(rows, stripe_rows)` — identical for every
+    /// [`Parallelism`] mode and for every upstream sharding whose shard
+    /// boundaries align to the stripe grid.
     ///
-    /// Page boundaries restart at each stripe, so the resulting index is a
-    /// pure function of the stripe grid — independent of how many workers
-    /// encode it or how the input was sharded, as long as stripe boundaries
-    /// land on the same global row offsets.
-    pub fn encode_stripe(
+    /// `budget` is charged for each stripe's raw rows while it encodes and
+    /// for its encoded pages until the index is assembled; a hard limit
+    /// fails the build with a budget error instead of overrunning it.
+    pub fn build_striped(
         rows: &[Row],
         dtypes: &[DataType],
         n_key_cols: usize,
         kind: CompressionKind,
-        dicts: Option<&[GlobalDictionary]>,
-    ) -> Result<StripePages> {
-        if n_key_cols > dtypes.len() {
-            return Err(CadbError::InvalidArgument(format!(
-                "{n_key_cols} key columns but only {} stored columns",
-                dtypes.len()
-            )));
-        }
-        if kind == CompressionKind::GlobalDict && dicts.is_none() {
-            return Err(CadbError::InvalidArgument(
-                "GlobalDict stripe encode requires whole-input dictionaries".into(),
-            ));
-        }
-        let key_cols: Vec<ColumnId> = (0..n_key_cols as u16).map(ColumnId).collect();
-        for w in rows.windows(2) {
-            if w[0].key_cmp(&w[1], &key_cols) == Ordering::Greater {
-                return Err(CadbError::InvalidArgument(
-                    "stripe encode requires key-sorted input".into(),
-                ));
-            }
-        }
-        let ctx = PageContext {
-            dtypes,
-            kind,
-            global_dicts: dicts,
-        };
-        let leaves = pack_pages(rows, &ctx)?;
-        let mut low_keys = Vec::with_capacity(leaves.len());
-        let mut off = 0usize;
-        for leaf in &leaves {
-            if leaf.n_rows > 0 {
-                low_keys.push(rows[off].project(&key_cols));
-            } else {
-                low_keys.push(Row::new(vec![]));
-            }
-            off += leaf.n_rows;
-        }
-        Ok(StripePages {
-            first_key: rows.first().map(|r| r.project(&key_cols)),
-            last_key: rows.last().map(|r| r.project(&key_cols)),
-            n_rows: rows.len(),
-            leaves,
-            low_keys,
-        })
+        stripe_rows: usize,
+        par: Parallelism,
+        budget: &MemoryBudget,
+    ) -> Result<Self> {
+        let _span = obs::span("storage.build_striped");
+        let dicts = whole_input_dicts(rows, dtypes, kind);
+        let chunks: Vec<&[Row]> = rows.chunks(stripe_rows.max(1)).collect();
+        let encoded = try_par_map(par, &chunks, |_, chunk| {
+            let raw = budget.try_reserve(rows_footprint(chunk))?;
+            let stripe = encode_stripe(chunk, dtypes, n_key_cols, kind, dicts.as_deref())?;
+            drop(raw);
+            let held = budget.try_reserve(stripe.encoded_bytes())?;
+            Ok::<_, CadbError>((stripe, held))
+        })?;
+        let (stripes, held): (Vec<StripePages>, Vec<Reservation>) = encoded.into_iter().unzip();
+        let index = Self::from_stripes(stripes, dtypes, n_key_cols, kind, dicts);
+        drop(held);
+        index
     }
 
-    /// Assemble an index from stripes encoded by [`Self::encode_stripe`],
-    /// in global key order. Validates that consecutive stripes do not
-    /// overlap in key space (which, combined with the per-stripe sort
-    /// check, re-establishes the whole-input sortedness [`Self::build`]
-    /// enforces), then concatenates leaves and stacks internal levels
-    /// exactly as the monolithic build does.
-    pub fn from_stripes(
+    /// Assemble an index from stripes encoded by [`encode_stripe`], in
+    /// global key order. Validates that consecutive stripes do not overlap
+    /// in key space (which, combined with the per-stripe sort check,
+    /// establishes whole-input sortedness), then concatenates leaves and
+    /// stacks the internal levels.
+    fn from_stripes(
         stripes: Vec<StripePages>,
         dtypes: &[DataType],
         n_key_cols: usize,
@@ -243,36 +164,6 @@ impl PhysicalIndex {
             patched_rows: 0,
             leaves,
         })
-    }
-
-    /// Striped bulk build: cut the sorted input into `stripe_rows`-row
-    /// stripes, encode them on a worker pool, and assemble. With a single
-    /// stripe (`stripe_rows >= rows.len()`) the result is **byte-identical**
-    /// to [`Self::build`]; with any fixed stripe size the result is a pure
-    /// function of `(rows, stripe_rows)` — identical for every
-    /// [`Parallelism`] mode and for every upstream sharding whose shard
-    /// boundaries align to the stripe grid.
-    pub fn build_striped(
-        rows: &[Row],
-        dtypes: &[DataType],
-        n_key_cols: usize,
-        kind: CompressionKind,
-        stripe_rows: usize,
-        par: Parallelism,
-    ) -> Result<Self> {
-        // Dictionaries are built over the whole input first — the same
-        // first-seen interning order as the monolithic build — so stripe
-        // encodes agree on every code no matter the grid.
-        let dicts = if kind == CompressionKind::GlobalDict {
-            Some(build_dictionaries(rows, dtypes))
-        } else {
-            None
-        };
-        let chunks: Vec<&[Row]> = rows.chunks(stripe_rows.max(1)).collect();
-        let stripes = try_par_map(par, &chunks, |_, chunk| {
-            Self::encode_stripe(chunk, dtypes, n_key_cols, kind, dicts.as_deref())
-        })?;
-        Self::from_stripes(stripes, dtypes, n_key_cols, kind, dicts)
     }
 
     /// Compression method of this index.
@@ -455,12 +346,8 @@ impl PhysicalIndex {
             let mut merged = Vec::with_capacity(rows.len() + extra.len());
             let mut it = extra.into_iter().peekable();
             for r in rows.drain(..) {
-                while let Some(e) = it.peek() {
-                    if e.key_cmp(&r, &key) == Ordering::Less {
-                        merged.push(it.next().unwrap());
-                    } else {
-                        break;
-                    }
+                while let Some(e) = it.next_if(|e| e.key_cmp(&r, &key) == Ordering::Less) {
+                    merged.push(e);
                 }
                 merged.push(r);
             }
@@ -549,8 +436,8 @@ impl PhysicalIndex {
     /// ([`Self::scan`], [`Self::decode_leaf`], [`Self::range_scan`],
     /// [`Self::seek`]) see every row, but the raw-page cursors the
     /// vectorized executor walks ([`Self::page_cursor`]) do **not** — a
-    /// patched index must go through [`Self::rebuilt`] before being handed
-    /// back to compressed execution.
+    /// patched index must be rebuilt from its rows ([`Self::build`]) before
+    /// being handed back to compressed execution.
     pub fn patched_rows(&self) -> usize {
         self.patched_rows
     }
@@ -611,27 +498,81 @@ impl PhysicalIndex {
         }
         Ok(n_patched)
     }
-
-    /// Fold every patch section into clean page encodings: decode all
-    /// leaves (patch-aware), re-sort, and bulk-build a fresh index — the
-    /// *leaf rebuild* a checkpoint runs once patches accumulate. The result
-    /// has `patched_rows() == 0` and is safe for vectorized execution.
-    pub fn rebuilt(&self) -> Result<PhysicalIndex> {
-        let key: Vec<ColumnId> = (0..self.n_key_cols as u16).map(ColumnId).collect();
-        let mut rows = self.scan()?;
-        // decode_leaf merges per leaf; a global stable sort restores the
-        // cross-leaf invariant in the (edge) cases where appended keys
-        // straddle leaf boundaries.
-        rows.sort_by(|a, b| a.key_cmp(b, &key));
-        PhysicalIndex::build(&rows, &self.dtypes, self.n_key_cols, self.kind)
-    }
 }
 
-/// Leaf pages of one stripe of a striped bulk build — the unit of parallel
-/// work produced by [`PhysicalIndex::encode_stripe`] and consumed by
+/// Global dictionaries over the **whole** input for
+/// [`CompressionKind::GlobalDict`] (first-seen interning order), so every
+/// stripe encodes with the same codes no matter how the input is cut.
+fn whole_input_dicts(
+    rows: &[Row],
+    dtypes: &[DataType],
+    kind: CompressionKind,
+) -> Option<Vec<GlobalDictionary>> {
+    (kind == CompressionKind::GlobalDict).then(|| build_dictionaries(rows, dtypes))
+}
+
+/// Encode one **stripe**: pack a contiguous, key-sorted slice of the global
+/// row stream into leaf pages — the only place an index calls
+/// [`pack_pages`]. Pure and `Sync`-friendly, so stripes encode on a worker
+/// pool. Page boundaries restart at each stripe, so an index is a pure
+/// function of its stripe grid.
+fn encode_stripe(
+    rows: &[Row],
+    dtypes: &[DataType],
+    n_key_cols: usize,
+    kind: CompressionKind,
+    dicts: Option<&[GlobalDictionary]>,
+) -> Result<StripePages> {
+    if n_key_cols > dtypes.len() {
+        return Err(CadbError::InvalidArgument(format!(
+            "{n_key_cols} key columns but only {} stored columns",
+            dtypes.len()
+        )));
+    }
+    if kind == CompressionKind::GlobalDict && dicts.is_none() {
+        return Err(CadbError::InvalidArgument(
+            "GlobalDict stripe encode requires whole-input dictionaries".into(),
+        ));
+    }
+    let key_cols: Vec<ColumnId> = (0..n_key_cols as u16).map(ColumnId).collect();
+    for w in rows.windows(2) {
+        if w[0].key_cmp(&w[1], &key_cols) == Ordering::Greater {
+            return Err(CadbError::InvalidArgument(
+                "index build requires key-sorted input".into(),
+            ));
+        }
+    }
+    let ctx = PageContext {
+        dtypes,
+        kind,
+        global_dicts: dicts,
+    };
+    let leaves = pack_pages(rows, &ctx)?;
+    // First key of each leaf, recovered from row offsets.
+    let mut low_keys = Vec::with_capacity(leaves.len());
+    let mut off = 0usize;
+    for leaf in &leaves {
+        if leaf.n_rows > 0 {
+            low_keys.push(rows[off].project(&key_cols));
+        } else {
+            low_keys.push(Row::new(vec![]));
+        }
+        off += leaf.n_rows;
+    }
+    Ok(StripePages {
+        first_key: rows.first().map(|r| r.project(&key_cols)),
+        last_key: rows.last().map(|r| r.project(&key_cols)),
+        n_rows: rows.len(),
+        leaves,
+        low_keys,
+    })
+}
+
+/// Leaf pages of one stripe of a bulk build — the unit of parallel work
+/// produced by [`encode_stripe`] and consumed by
 /// [`PhysicalIndex::from_stripes`].
-#[derive(Debug, Clone)]
-pub struct StripePages {
+#[derive(Debug)]
+struct StripePages {
     leaves: Vec<EncodedPage>,
     low_keys: Vec<Row>,
     n_rows: usize,
@@ -642,19 +583,9 @@ pub struct StripePages {
 }
 
 impl StripePages {
-    /// Rows encoded into this stripe.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Leaf pages in this stripe.
-    pub fn n_pages(&self) -> usize {
-        self.leaves.len()
-    }
-
     /// Encoded payload bytes of this stripe's leaves — what a memory
     /// budget charges for holding the stripe resident.
-    pub fn encoded_bytes(&self) -> usize {
+    fn encoded_bytes(&self) -> usize {
         self.leaves.iter().map(|p| p.bytes.len()).sum()
     }
 }
@@ -815,6 +746,22 @@ mod tests {
         assert!(ix.seek(&[Value::Int(1)]).unwrap().is_empty());
     }
 
+    /// Deliberately unsorted two-column rows for zero-key (heap) builds.
+    fn heap_rows(n: usize) -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(((n - i) % 37) as i64),
+                    Value::Str(format!("pay{}", i % 5)),
+                ])
+            })
+            .collect()
+    }
+
+    fn heap_dtypes() -> Vec<DataType> {
+        vec![DataType::Int, DataType::Char { len: 10 }]
+    }
+
     #[test]
     fn heap_mode_no_key_cols() {
         // n_key_cols = 0 accepts any order (a heap).
@@ -822,6 +769,25 @@ mod tests {
         rows.reverse();
         let ix = PhysicalIndex::build(&rows, &dtypes(), 0, CompressionKind::Row).unwrap();
         assert_eq!(ix.scan().unwrap(), rows);
+    }
+
+    #[test]
+    fn heap_preserves_insertion_order() {
+        let rs = heap_rows(2500);
+        let h = PhysicalIndex::build(&rs, &heap_dtypes(), 0, CompressionKind::Row).unwrap();
+        assert_eq!(h.scan().unwrap(), rs);
+        assert_eq!(h.n_rows(), 2500);
+        assert!(h.n_leaf_pages() >= 1);
+    }
+
+    #[test]
+    fn compressed_heap_is_smaller() {
+        let rs = heap_rows(4000);
+        let plain = PhysicalIndex::build(&rs, &heap_dtypes(), 0, CompressionKind::None).unwrap();
+        let comp = PhysicalIndex::build(&rs, &heap_dtypes(), 0, CompressionKind::Page).unwrap();
+        assert!(comp.size_bytes() < plain.size_bytes());
+        assert!(comp.compression_fraction() < 1.0);
+        assert_eq!(comp.kind(), CompressionKind::Page);
     }
 
     #[test]
@@ -931,7 +897,7 @@ mod tests {
                 assert_ne!(w[0].key_cmp(&w[1], &key), Ordering::Greater, "{kind}");
             }
             // Rebuild folds the patches into clean encodings.
-            let clean = ix.rebuilt().unwrap();
+            let clean = PhysicalIndex::build(&scanned, &dtypes(), 1, kind).unwrap();
             assert_eq!(clean.patched_rows(), 0);
             assert_eq!(clean.n_rows(), 3040);
             assert_eq!(clean.scan().unwrap(), scanned, "{kind}");
@@ -988,6 +954,16 @@ mod tests {
         assert_eq!(a.n_rows(), b.n_rows(), "{what}: rows");
     }
 
+    fn striped(
+        rows: &[Row],
+        kind: CompressionKind,
+        stripe_rows: usize,
+        par: Parallelism,
+    ) -> PhysicalIndex {
+        let budget = MemoryBudget::unlimited();
+        PhysicalIndex::build_striped(rows, &dtypes(), 1, kind, stripe_rows, par, &budget).unwrap()
+    }
+
     #[test]
     fn single_stripe_build_is_bit_identical_to_monolithic() {
         let rows = sorted_rows(3000);
@@ -998,15 +974,7 @@ mod tests {
             CompressionKind::Rle,
         ] {
             let mono = PhysicalIndex::build(&rows, &dtypes(), 1, kind).unwrap();
-            let striped = PhysicalIndex::build_striped(
-                &rows,
-                &dtypes(),
-                1,
-                kind,
-                usize::MAX,
-                Parallelism::Serial,
-            )
-            .unwrap();
+            let striped = striped(&rows, kind, usize::MAX, Parallelism::Serial);
             assert_bit_identical(&mono, &striped, &format!("{kind}"));
             assert_eq!(striped.scan().unwrap(), rows, "{kind}");
         }
@@ -1016,11 +984,9 @@ mod tests {
     fn striped_build_is_parallelism_invariant() {
         let rows = sorted_rows(5000);
         for kind in [CompressionKind::Page, CompressionKind::GlobalDict] {
-            let serial =
-                PhysicalIndex::build_striped(&rows, &dtypes(), 1, kind, 512, Parallelism::Serial)
-                    .unwrap();
+            let serial = striped(&rows, kind, 512, Parallelism::Serial);
             for par in [Parallelism::Auto, Parallelism::Threads(4)] {
-                let p = PhysicalIndex::build_striped(&rows, &dtypes(), 1, kind, 512, par).unwrap();
+                let p = striped(&rows, kind, 512, par);
                 assert_bit_identical(&serial, &p, &format!("{kind}/{par:?}"));
             }
             assert_eq!(serial.scan().unwrap(), rows, "{kind}");
@@ -1031,28 +997,57 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_striped_build_meters_and_rejects() {
+        let rows = sorted_rows(5000);
+        let unmetered = striped(&rows, CompressionKind::Page, 512, Parallelism::Serial);
+        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let budget = MemoryBudget::limited(usize::MAX);
+            let ix = PhysicalIndex::build_striped(
+                &rows,
+                &dtypes(),
+                1,
+                CompressionKind::Page,
+                512,
+                par,
+                &budget,
+            )
+            .unwrap();
+            assert_bit_identical(&unmetered, &ix, &format!("metered {par:?}"));
+            // A stripe's raw rows and the encoded stripes were resident;
+            // every reservation is released once the index is assembled.
+            assert!(budget.peak_bytes() >= rows_footprint(&rows[..512]));
+            assert_eq!(budget.current_bytes(), 0);
+        }
+        // A hard limit below one stripe's working set fails, not overruns.
+        let tight = MemoryBudget::limited(1024);
+        let err = PhysicalIndex::build_striped(
+            &rows,
+            &dtypes(),
+            1,
+            CompressionKind::Page,
+            512,
+            Parallelism::Serial,
+            &tight,
+        )
+        .unwrap_err();
+        assert_eq!(err.category(), "budget");
+        assert_eq!(tight.current_bytes(), 0);
+    }
+
+    #[test]
     fn stripes_assemble_manually() {
         let rows = sorted_rows(2000);
         let dt = dtypes();
-        let halves: Vec<&[Row]> = rows.chunks(1000).collect();
-        let stripes: Vec<StripePages> = halves
-            .iter()
-            .map(|c| PhysicalIndex::encode_stripe(c, &dt, 1, CompressionKind::Page, None).unwrap())
+        let stripes: Vec<StripePages> = rows
+            .chunks(1000)
+            .map(|c| encode_stripe(c, &dt, 1, CompressionKind::Page, None).unwrap())
             .collect();
-        assert!(stripes[0].n_pages() > 0);
-        assert_eq!(stripes[0].n_rows() + stripes[1].n_rows(), 2000);
+        assert!(!stripes[0].leaves.is_empty());
+        assert_eq!(stripes[0].n_rows + stripes[1].n_rows, 2000);
         assert!(stripes[0].encoded_bytes() > 0);
         let ix = PhysicalIndex::from_stripes(stripes, &dt, 1, CompressionKind::Page, None).unwrap();
         assert_eq!(ix.scan().unwrap(), rows);
-        let direct = PhysicalIndex::build_striped(
-            &rows,
-            &dt,
-            1,
-            CompressionKind::Page,
-            1000,
-            Parallelism::Serial,
-        )
-        .unwrap();
+        let direct = striped(&rows, CompressionKind::Page, 1000, Parallelism::Serial);
         assert_bit_identical(&ix, &direct, "manual assembly");
     }
 
@@ -1060,39 +1055,22 @@ mod tests {
     fn out_of_order_stripes_rejected() {
         let rows = sorted_rows(2000);
         let dt = dtypes();
-        let lo = PhysicalIndex::encode_stripe(&rows[..1000], &dt, 1, CompressionKind::None, None)
-            .unwrap();
-        let hi = PhysicalIndex::encode_stripe(&rows[1000..], &dt, 1, CompressionKind::None, None)
-            .unwrap();
+        let lo = encode_stripe(&rows[..1000], &dt, 1, CompressionKind::None, None).unwrap();
+        let hi = encode_stripe(&rows[1000..], &dt, 1, CompressionKind::None, None).unwrap();
         assert!(
             PhysicalIndex::from_stripes(vec![hi, lo], &dt, 1, CompressionKind::None, None).is_err()
         );
         // Unsorted rows inside a stripe are rejected too.
         let mut bad = rows[..100].to_vec();
         bad.swap(0, 99);
-        assert!(PhysicalIndex::encode_stripe(&bad, &dt, 1, CompressionKind::None, None).is_err());
+        assert!(encode_stripe(&bad, &dt, 1, CompressionKind::None, None).is_err());
         // GlobalDict stripes need whole-input dictionaries.
-        assert!(PhysicalIndex::encode_stripe(
-            &rows[..100],
-            &dt,
-            1,
-            CompressionKind::GlobalDict,
-            None
-        )
-        .is_err());
+        assert!(encode_stripe(&rows[..100], &dt, 1, CompressionKind::GlobalDict, None).is_err());
     }
 
     #[test]
     fn empty_striped_build() {
-        let ix = PhysicalIndex::build_striped(
-            &[],
-            &dtypes(),
-            1,
-            CompressionKind::Page,
-            4096,
-            Parallelism::Auto,
-        )
-        .unwrap();
+        let ix = striped(&[], CompressionKind::Page, 4096, Parallelism::Auto);
         assert_eq!(ix.n_rows(), 0);
         assert!(ix.scan().unwrap().is_empty());
     }

@@ -246,8 +246,7 @@ impl CommitOrderRecord {
             }
             entries.push((shard, lsn));
         }
-        let mut sections = Vec::with_capacity(3);
-        for _ in 0..3 {
+        let mut routes = || -> Result<Vec<u8>> {
             let n = get_u32(bytes, &mut p)? as usize;
             let end = p
                 .checked_add(n)
@@ -255,18 +254,19 @@ impl CommitOrderRecord {
                 .ok_or_else(|| {
                     CadbError::Storage("order record: truncated route bytes".to_string())
                 })?;
-            sections.push(bytes[p..end].to_vec());
+            let section = bytes[p..end].to_vec();
             p = end;
-        }
+            Ok(section)
+        };
+        let appended_routes = routes()?;
+        let rewritten_routes = routes()?;
+        let deleted_routes = routes()?;
         if p != bytes.len() {
             return Err(CadbError::Storage(format!(
                 "order record: {} trailing bytes",
                 bytes.len() - p
             )));
         }
-        let deleted_routes = sections.pop().expect("three sections");
-        let rewritten_routes = sections.pop().expect("three sections");
-        let appended_routes = sections.pop().expect("three sections");
         Ok(CommitOrderRecord {
             table,
             entries,
@@ -295,24 +295,13 @@ pub fn replay(bytes: &[u8]) -> WalReplay {
     let mut duplicates_skipped = 0usize;
     let mut off = 0usize;
     while off < bytes.len() {
-        let Some(frame_end) = frame_at(bytes, off) else {
+        let Some((frame, frame_end)) = frame_at(bytes, off) else {
             break; // torn or corrupt tail — truncate from here
         };
-        let mut p = off;
-        let payload_len = get_u32(bytes, &mut p).expect("validated") as usize;
-        let _crc = get_u32(bytes, &mut p).expect("validated");
-        let ty = FrameType::from_byte(bytes[p]).expect("validated");
-        p += 1;
-        let lsn = get_u64(bytes, &mut p).expect("validated");
-        let payload = bytes[p..p + payload_len].to_vec();
-        if frames.iter().any(|f| f.lsn == lsn) {
+        if frames.iter().any(|f| f.lsn == frame.lsn) {
             duplicates_skipped += 1;
         } else {
-            frames.push(WalFrame {
-                frame_type: ty,
-                lsn,
-                payload,
-            });
+            frames.push(frame);
         }
         off = frame_end;
     }
@@ -323,21 +312,26 @@ pub fn replay(bytes: &[u8]) -> WalReplay {
     }
 }
 
-/// End offset of a complete, CRC-valid frame starting at `off`, else None.
-fn frame_at(bytes: &[u8], off: usize) -> Option<usize> {
+/// The complete, CRC-valid frame starting at `off` and its end offset,
+/// else None (a torn or corrupt frame).
+fn frame_at(bytes: &[u8], off: usize) -> Option<(WalFrame, usize)> {
     let mut p = off;
     let payload_len = get_u32(bytes, &mut p).ok()? as usize;
     let stored_crc = get_u32(bytes, &mut p).ok()?;
     let body_end = p.checked_add(1 + 8 + payload_len)?;
-    if body_end > bytes.len() {
-        return None;
-    }
-    let body = &bytes[p..body_end];
+    let body = bytes.get(p..body_end)?;
     if crc32(body) != stored_crc {
         return None;
     }
-    FrameType::from_byte(body[0]).ok()?;
-    Some(body_end)
+    let frame_type = FrameType::from_byte(body[0]).ok()?;
+    let mut q = 1;
+    let lsn = get_u64(body, &mut q).ok()?;
+    let frame = WalFrame {
+        frame_type,
+        lsn,
+        payload: body[q..].to_vec(),
+    };
+    Some((frame, body_end))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use cadb_common::{ColumnDef, ColumnId, DataType, Row, TableSchema, Value};
 use cadb_compression::CompressionKind;
-use cadb_storage::{Heap, PhysicalIndex, Table};
+use cadb_storage::{PhysicalIndex, Table};
 use std::cmp::Ordering;
 
 const ALL_KINDS: [CompressionKind; 5] = [
@@ -129,15 +129,15 @@ fn seek_and_range_scan_match_naive_filters() {
 
 #[test]
 fn heap_round_trips_every_codec_in_insertion_order() {
-    // Heaps accept arbitrary order and must preserve it.
+    // Heaps (zero key columns) accept arbitrary order and must preserve it.
     let mut rows = sorted_rows(5_000);
     rows.reverse();
     rows.swap(0, 2_500);
     for kind in ALL_KINDS {
-        let h = Heap::build(&rows, &dtypes(), kind).unwrap();
+        let h = PhysicalIndex::build(&rows, &dtypes(), 0, kind).unwrap();
         assert_eq!(h.n_rows(), rows.len());
         assert_eq!(h.scan().unwrap(), rows, "{kind}: heap order lost");
-        assert!(h.n_pages() > 1, "{kind}");
+        assert!(h.n_leaf_pages() > 1, "{kind}");
     }
 }
 

@@ -284,63 +284,65 @@
 //!    4096-row grid cells; each cell's RNG is seeded from
 //!    `(seed, table, global row range)`, so any shard split of a table
 //!    ([`datagen::shard_ranges`]) yields byte-identical rows in parallel.
-//! 2. **Ingest.** [`shard::ShardedTable::from_chunks`] flushes the stream
-//!    into compressed heap shards, buffering at most one shard of raw rows;
-//!    a [`common::MemoryBudget`] meters every working set and fails loudly
-//!    past its hard limit instead of thrashing.
-//! 3. **Build.** [`shard::ShardedIndex`] partitions (hash or range), sorts
-//!    per shard on workers, k-way merges under one total order, and packs
-//!    leaves on a fixed stripe grid — so the built bytes never depend on
-//!    the shard count, the partitioning policy, or the
-//!    [`engine::Parallelism`] mode.
-//! 4. **Measure.** `MaterializedConfig::build_with` routes the actuals
-//!    harness through the same path; the peak metered bytes surface in
+//! 2. **Build.** [`shard::ShardedIndex`] partitions (hash or range), sorts
+//!    per shard on workers, k-way merges under one total order, and hands
+//!    the merged stream to [`storage::PhysicalIndex::build_striped`] — the
+//!    one index build path, which packs leaves on a fixed stripe grid. The
+//!    built bytes never depend on the shard count, the partitioning policy,
+//!    or the [`engine::Parallelism`] mode. A [`common::MemoryBudget`]
+//!    meters every working set and fails loudly past its hard limit instead
+//!    of thrashing.
+//! 3. **Measure.** [`exec::MaterializedConfig::build_with`] builds every
+//!    structure of a configuration through the same striped build; the
+//!    peak metered bytes surface in
 //!    [`exec::MaterializedConfig::build_stats`] and the
 //!    `shard.build_peak_bytes` observability gauge (and `repro
 //!    --mem-budget` caps them).
 //!
 //! ```
-//! use cadb::common::{MemoryBudget, Parallelism};
+//! use cadb::common::MemoryBudget;
 //! use cadb::compression::CompressionKind;
 //! use cadb::datagen::TpchGen;
-//! use cadb::shard::{BuildOptions, ShardSpec, ShardedIndex, ShardedTable};
+//! use cadb::engine::Configuration;
+//! use cadb::exec::MaterializedConfig;
+//! use cadb::shard::{BuildOptions, ShardSpec, ShardedIndex};
 //!
 //! let gen = TpchGen::new(0.02);
 //! let db = gen.build().unwrap();
 //! let dtypes = db.dtypes(db.table_id("lineitem").unwrap());
 //!
-//! // Chunked generation -> sharded ingestion, metered end to end.
-//! let budget = MemoryBudget::unlimited();
-//! let table = ShardedTable::from_chunks(
-//!     &dtypes,
-//!     CompressionKind::Page,
-//!     512,
-//!     gen.stream_table("lineitem").unwrap().map(|c| c.rows),
-//!     &BuildOptions::default().with_budget(budget.clone()),
-//! )
-//! .unwrap();
-//! assert_eq!(table.n_rows() as u64, gen.stream_row_count("lineitem").unwrap());
-//! assert!(budget.peak_bytes() > 0); // the run's memory story, measured
+//! // Chunked generation: the stream covers the whole table.
+//! let rows: Vec<_> = gen
+//!     .stream_table("lineitem")
+//!     .unwrap()
+//!     .flat_map(|c| c.rows)
+//!     .collect();
+//! assert_eq!(rows.len() as u64, gen.stream_row_count("lineitem").unwrap());
 //!
 //! // Sharded builds are an execution strategy, not a layout: any shard
-//! // count produces the same physical bytes.
-//! let rows = table.scan(Parallelism::Auto).unwrap();
+//! // count produces the same physical bytes, metered end to end.
+//! let budget = MemoryBudget::unlimited();
+//! let opts = BuildOptions::default().with_budget(budget.clone());
 //! let one = ShardedIndex::build(
-//!     &rows, &dtypes, 1, CompressionKind::Page,
-//!     ShardSpec::range(1), &BuildOptions::default(),
+//!     &rows, &dtypes, 1, CompressionKind::Page, ShardSpec::range(1), &opts,
 //! )
 //! .unwrap();
 //! let eight = ShardedIndex::build(
-//!     &rows, &dtypes, 1, CompressionKind::Page,
-//!     ShardSpec::hash(8), &BuildOptions::default(),
+//!     &rows, &dtypes, 1, CompressionKind::Page, ShardSpec::hash(8), &opts,
 //! )
 //! .unwrap();
 //! assert_eq!(one.index().size_bytes(), eight.index().size_bytes());
-//! assert_eq!(one.index().n_leaf_pages(), eight.index().n_leaf_pages());
-//! assert_eq!(
-//!     one.scan(Parallelism::Auto).unwrap(),
-//!     eight.scan(Parallelism::Serial).unwrap()
-//! );
+//! assert_eq!(one.index().scan().unwrap(), eight.index().scan().unwrap());
+//! assert!(budget.peak_bytes() > 0); // the run's memory story, measured
+//!
+//! // The actuals harness builds a whole configuration the same way,
+//! // here on a 512-row stripe grid under a hard limit.
+//! let opts = BuildOptions::default()
+//!     .with_stripe_rows(512)
+//!     .with_budget(MemoryBudget::limited(64 << 20));
+//! let mat = MaterializedConfig::build_with(&db, &Configuration::empty(), &opts).unwrap();
+//! assert!(mat.build_stats().stripes > db.table_ids().len());
+//! assert!(mat.build_stats().peak_bytes <= 64 << 20);
 //! ```
 //!
 //! ## Observing a tuning session

@@ -14,7 +14,8 @@
 //! on the same line, with a comment nearby saying why.
 //!
 //! The other checks hold `crates/exec/src/store`, the codecs
-//! (`crates/compression/src`) and the planning/execution path
+//! (`crates/compression/src`), storage and shard builds
+//! (`crates/storage/src`, `crates/shard/src`) and the planning/execution path
 //! (`access_path.rs`, `exec/planner.rs`, `exec/query.rs`) to ROADMAP aim 3:
 //! no reachable `unwrap`/`expect`/`unreachable!` on data-dependent paths.
 
@@ -156,6 +157,24 @@ fn codecs_have_no_reachable_panics() {
     assert!(
         violations.is_empty(),
         "codec code must return errors, not panic:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Nor does the index and log substrate: `crates/storage/src` decodes leaf
+/// pages and WAL segments that may be torn or damaged, and `crates/shard/src`
+/// builds under a memory budget that may run out. Both return `Err`.
+#[test]
+fn storage_and_shard_have_no_reachable_panics() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/storage/src"), &mut files);
+    rust_files(&root.join("crates/shard/src"), &mut files);
+    assert!(files.len() >= 6, "lint walked too few files: {files:?}");
+    let violations = reachable_panics(&files);
+    assert!(
+        violations.is_empty(),
+        "storage and shard code must return errors, not panic:\n{}",
         violations.join("\n")
     );
 }

@@ -133,7 +133,7 @@ fn measured_run_report_identical_under_recording() {
             for span in [
                 "exec.measured_run",
                 "planner.plan_query",
-                "shard.build_presorted",
+                "exec.build_config",
             ] {
                 assert!(trace.find_span(span).is_some(), "{name}: no {span} span");
             }
